@@ -5,29 +5,29 @@ from .graph import (EdgeListParseError, Graph, NonSeedIndex, ReachabilityReport,
                     SeedSet, build_nonseed_index, load_edge_list, load_seed_file,
                     reachable_from)
 from .metrics import adjusted_rand_index, percentiles, precision_recall_f1
-from .mixture import (HitmixConfig, LognormalParams, MembershipResult, MixtureFit,
-                      VertexSamples, bic, draw_pseudo_samples, em_fit, hitmix,
-                      lognormal_mom)
+from .mixture import (EmCollapseError, HitmixConfig, LognormalParams,
+                      MembershipResult, MixtureFit, VertexSamples, bic,
+                      draw_pseudo_samples, em_fit, hitmix, lognormal_mom)
 from .moments import (MomentConvergenceError, MomentTable, compute_moments,
                       moment_rhs, simulate_hitting_times)
 from .sbm import (McSummary, SbmConfig, SimulationSpec, run_simulation,
                   sample_hitting_set, sample_sbm)
-from .solver import (CgConfig, CgStats, NonSpdError, RestrictedOperator,
-                     conjugate_gradient)
+from .solver import (CgConfig, CgStats, HitmixError, NonSpdError,
+                     RestrictedOperator, conjugate_gradient)
 
 __all__ = [
     "EdgeListParseError", "Graph", "NonSeedIndex", "ReachabilityReport",
     "SeedSet", "build_nonseed_index", "load_edge_list", "load_seed_file",
     "reachable_from",
     "adjusted_rand_index", "percentiles", "precision_recall_f1",
-    "HitmixConfig", "LognormalParams", "MembershipResult", "MixtureFit",
-    "VertexSamples", "bic", "draw_pseudo_samples", "em_fit", "hitmix",
+    "EmCollapseError", "HitmixConfig", "LognormalParams", "MembershipResult",
+    "MixtureFit", "VertexSamples", "bic", "draw_pseudo_samples", "em_fit", "hitmix",
     "lognormal_mom",
     "MomentConvergenceError", "MomentTable", "compute_moments", "moment_rhs",
     "simulate_hitting_times",
     "McSummary", "SbmConfig", "SimulationSpec", "run_simulation",
     "sample_hitting_set", "sample_sbm",
-    "CgConfig", "CgStats", "NonSpdError", "RestrictedOperator",
+    "CgConfig", "CgStats", "HitmixError", "NonSpdError", "RestrictedOperator",
     "conjugate_gradient",
 ]
 

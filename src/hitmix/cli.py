@@ -11,15 +11,13 @@ import sys
 import tempfile
 import time
 
-import numpy as np
-
-from .graph import EdgeListParseError, load_edge_list, load_seed_file
+from .graph import EdgeListParseError, data_lines, load_edge_list, load_seed_file
 from .metrics import adjusted_rand_index, precision_recall_f1
 from .mixture import HitmixConfig, hitmix
 from .moments import compute_moments
-from .sbm import (SWEEPS, HitmixConfig as _HmCfg, SimulationSpec, run_simulation,
-                  runs_csv_lines, summary_csv_lines)
-from .solver import CgConfig
+from .sbm import (SWEEPS, SimulationSpec, run_simulation, runs_csv_lines,
+                  summary_csv_lines)
+from .solver import CgConfig, CgStats, HitmixError
 
 log = logging.getLogger("hitmix")
 
@@ -45,6 +43,12 @@ def _resolve_seed(seed: int | None) -> int:
     return seed
 
 
+def _cg_summary(stats: list[CgStats]) -> str:
+    """CG iterations and attained relative residual per moment, for the log."""
+    return (f"CG iters {[s.iterations for s in stats]}, residual ["
+            + ", ".join(f"{s.final_rel_residual:.1e}" for s in stats) + "]")
+
+
 def _load_graph_and_seeds(args):
     with open(args.graph) as f:
         graph = load_edge_list(f)
@@ -58,9 +62,8 @@ def _cmd_moments(args) -> int:
     cfg = CgConfig(rel_tol=args.cg_tol)
     t0 = time.perf_counter()
     table = compute_moments(graph, seeds, order=2, cfg=cfg)
-    log.info("moments: %d vertices, CG iters %s, %.3fs",
-             table.vertices.size, [s.iterations for s in table.cg_stats],
-             time.perf_counter() - t0)
+    log.info("moments: %d vertices, %s, %.3fs", table.vertices.size,
+             _cg_summary(table.cg_stats), time.perf_counter() - t0)
     lines = ["vertex_id\tmean\tvariance\treachable"]
     for i, v in enumerate(table.vertices):
         lines.append(f"{v}\t{table.mean[i]:.12g}\t{table.variance[i]:.12g}"
@@ -87,8 +90,8 @@ def _cmd_expand(args) -> int:
                        cg=CgConfig(rel_tol=args.cg_tol))
     t0 = time.perf_counter()
     result = hitmix(graph, seeds, cfg)
-    log.info("expand: selected g=%d, BIC %s, EM iters %s, %.3fs",
-             result.selected_g,
+    log.info("expand: %s, selected g=%d, BIC %s, EM iters %s, %.3fs",
+             _cg_summary(result.moments.cg_stats), result.selected_g,
              {g: round(b, 3) for g, b in result.bic_by_g.items()},
              {g: f.iterations for g, f in result.fits.items()},
              time.perf_counter() - t0)
@@ -121,10 +124,7 @@ def _cmd_expand(args) -> int:
 def _parse_kv_config(path: str) -> dict[str, str]:
     out: dict[str, str] = {}
     with open(path) as f:
-        for line_no, raw in enumerate(f, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+        for line_no, line in data_lines(f):
             if "=" not in line:
                 raise ValueError(f"{path}:{line_no}: expected 'key = value'")
             key, _, value = line.partition("=")
@@ -142,7 +142,7 @@ def _cmd_sbm_sim(args) -> int:
               else [float(v) for v in raw_values])
     seed = _resolve_seed(args.seed if args.seed is not None
                          else (int(kv["seed"]) if "seed" in kv else None))
-    hm_cfg = _HmCfg(
+    hm_cfg = HitmixConfig(
         m=int(kv.get("samples_per_vertex", 25)),
         g_candidates=_parse_clusters(kv.get("clusters", "2")),
         tau=float(kv.get("tau", 0.5)),
@@ -177,11 +177,12 @@ def _cmd_sbm_sim(args) -> int:
 def _read_label_tsv(path: str) -> dict[int, int]:
     labels = {}
     with open(path) as f:
-        for raw in f:
-            line = raw.strip()
-            if not line or line.startswith("#") or line.startswith("vertex_id"):
+        for line_no, line in data_lines(f):
+            if line.startswith("vertex_id"):
                 continue
             tokens = line.split("\t")
+            if len(tokens) < 2:
+                raise ValueError(f"{path}:{line_no}: expected 2 columns")
             labels[int(tokens[0])] = int(tokens[1])
     return labels
 
@@ -207,10 +208,7 @@ def _cmd_relabel(args) -> int:
     mapping: dict[str, int] = {}
     out_lines = []
     with open(args.graph) as f:
-        for line_no, raw in enumerate(f, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+        for line_no, line in data_lines(f):
             tokens = line.split()
             if len(tokens) != 2:
                 raise EdgeListParseError(line_no, f"expected 2 tokens, got {len(tokens)}")
@@ -270,6 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
+    """Exit code 0 ok, 1 usage error, 2 input error, 3 solver or EM failure."""
     logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
@@ -282,6 +281,9 @@ def run(argv=None) -> int:
     except (OSError, ValueError, KeyError) as exc:
         log.error("%s", exc)
         return 2
+    except HitmixError as exc:
+        log.error("%s: %s", type(exc).__name__, exc)
+        return 3
 
 
 def main() -> None:

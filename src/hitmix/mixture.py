@@ -15,12 +15,16 @@ from scipy.special import logsumexp
 
 from .graph import Graph, SeedSet
 from .moments import MomentTable, compute_moments
-from .solver import CgConfig
+from .solver import CgConfig, HitmixError
 
 log = logging.getLogger(__name__)
 
 _COLLAPSE_EPS = 1e-12
 _MAX_RESTARTS = 3
+
+
+class EmCollapseError(HitmixError):
+    """A mixture component collapsed more often than EM may restart it."""
 
 
 @dataclass(frozen=True)
@@ -189,7 +193,7 @@ def em_fit(samples: VertexSamples, g: int, cfg: HitmixConfig | None = None) -> M
         if collapsed.any():
             restarts += 1
             if restarts > _MAX_RESTARTS:
-                raise RuntimeError(
+                raise EmCollapseError(
                     f"component collapsed {restarts} times during EM (g={g})")
             log.warning("EM component collapse (g=%d, iter=%d); restarting "
                         "%d component(s) at the global MLE", g, it, collapsed.sum())

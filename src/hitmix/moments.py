@@ -16,10 +16,11 @@ from math import comb
 import numpy as np
 
 from .graph import Graph, NonSeedIndex, ReachabilityReport, SeedSet, reachable_from
-from .solver import CgConfig, CgStats, RestrictedOperator, conjugate_gradient
+from .solver import (CgConfig, CgStats, HitmixError, RestrictedOperator,
+                     conjugate_gradient)
 
 
-class MomentConvergenceError(RuntimeError):
+class MomentConvergenceError(HitmixError):
     def __init__(self, moment_order: int, stats: CgStats):
         super().__init__(
             f"CG failed to converge for moment {moment_order}: "

@@ -168,7 +168,6 @@ class ConditionSummary:
     f1_p5: float
     f1_p95: float
     failures: int
-    runs_with_unreachable: int
 
 
 @dataclass
@@ -248,11 +247,10 @@ def run_simulation(spec: SimulationSpec) -> McSummary:
             f5, f95 = percentiles(f1s, [0.05, 0.95])
             summary = ConditionSummary(value, float(aris.mean()), float(a5), float(a95),
                                        float(f1s.mean()), float(f5), float(f95),
-                                       len(rows) - len(ok),
-                                       sum(1 for r in ok if r.unreachable > 0))
+                                       len(rows) - len(ok))
         else:
             summary = ConditionSummary(value, np.nan, np.nan, np.nan, np.nan,
-                                       np.nan, np.nan, len(rows), 0)
+                                       np.nan, np.nan, len(rows))
         conditions.append(summary)
     return McSummary(spec, conditions, records)
 

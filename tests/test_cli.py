@@ -1,9 +1,16 @@
 import json
 import os
 
+import logging
+
+import numpy as np
 import pytest
 
+import hitmix.mixture
+import hitmix.moments
 from hitmix.cli import run
+from hitmix.mixture import EmCollapseError
+from hitmix.solver import CgStats, NonSpdError
 
 PATH3 = "0 1\n1 2\n"
 
@@ -115,3 +122,46 @@ def test_inputs_not_mutated(workdir):
     run(["moments", "--graph", str(workdir / "g.txt"),
          "--seeds", str(workdir / "s.txt"), "--out", str(workdir / "m.tsv")])
     assert (workdir / "g.txt").read_bytes() == before
+
+
+def test_eval_one_column_is_input_error(tmp_path, caplog):
+    (tmp_path / "p.tsv").write_text("vertex_id\n0\n1\n")
+    (tmp_path / "t.tsv").write_text("0\t1\n1\t0\n")
+    rc = run(["eval", "--predicted", str(tmp_path / "p.tsv"),
+              "--truth", str(tmp_path / "t.tsv")])
+    assert rc == 2
+    assert [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR] \
+        == [f"{tmp_path / 'p.tsv'}:2: expected 2 columns"]
+
+
+def _raise(exc):
+    def fail(*args, **kwargs):
+        raise exc
+    return fail
+
+
+def _unconverged_cg(op, b, cfg=None):
+    return np.zeros(op.n), CgStats(7, 0.5, False)
+
+
+@pytest.mark.parametrize("command, target, replacement, message", [
+    ("moments", (hitmix.moments, "conjugate_gradient"),
+     _raise(NonSpdError("operator is not SPD")), "NonSpdError: operator is not SPD"),
+    ("moments", (hitmix.moments, "conjugate_gradient"), _unconverged_cg,
+     "MomentConvergenceError: CG failed to converge for moment 1: "
+     "rel residual 5.000e-01 after 7 iters"),
+    ("expand", (hitmix.mixture, "em_fit"),
+     _raise(EmCollapseError("component collapsed 4 times during EM (g=2)")),
+     "EmCollapseError: component collapsed 4 times during EM (g=2)"),
+], ids=["NonSpdError", "MomentConvergenceError", "EmCollapseError"])
+def test_numerical_failure_exit_code(workdir, caplog, capsys, command, target,
+                                     replacement, message, monkeypatch):
+    monkeypatch.setattr(*target, replacement)
+    rc = run([command, "--graph", str(workdir / "g.txt"), "--seeds",
+              str(workdir / "s.txt"), "--out", str(workdir / "o.tsv")])
+    assert rc == 3
+    errors = [r for r in caplog.records if r.levelno == logging.ERROR]
+    assert [r.getMessage() for r in errors] == [message]
+    assert errors[0].exc_info is None
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (workdir / "o.tsv").exists()

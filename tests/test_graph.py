@@ -13,6 +13,12 @@ def load(text):
     return load_edge_list(io.StringIO(text))
 
 
+def neighbors(g, v):
+    """Sorted neighbor ids of v and the corresponding adjacency values."""
+    row = g.adjacency[[v]]
+    return row.indices, row.data
+
+
 class TestLoadEdgeList:
     def test_path_graph(self):
         g = load("0 1\n1 2")
@@ -22,14 +28,14 @@ class TestLoadEdgeList:
     def test_multiplicity_accumulates(self):
         g = load("# comment\n0 1\n0 1")
         assert g.degrees.tolist() == [2, 2]
-        nbrs, mults = g.neighbors(0)
+        nbrs, mults = neighbors(g, 0)
         assert nbrs.tolist() == [1] and mults.tolist() == [2]
 
     def test_reversed_pair_not_double_inserted(self):
         g = load("0 1\n1 0")
-        nbrs, mults = g.neighbors(0)
+        nbrs, mults = neighbors(g, 0)
         assert mults.tolist() == [2]
-        assert g.total_multiplicity == 2
+        assert g.adjacency.sum() == 4
 
     def test_self_loop_degree_two(self):
         g = load("0 0")
@@ -63,7 +69,7 @@ class TestGraphInvariants:
         v = rng.integers(0, 30, size=100)
         g = Graph.from_edges(30, u, v)
         assert (g.adjacency != g.adjacency.T).nnz == 0
-        assert g.degrees.sum() == 2 * g.total_multiplicity
+        assert g.degrees.sum() == 2 * u.size
 
     def test_id_out_of_range(self):
         with pytest.raises(ValueError):

@@ -2,8 +2,10 @@ import io
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
-from hitmix.graph import (SeedSet, build_nonseed_index, load_edge_list,
+from hitmix.graph import (Graph, SeedSet, build_nonseed_index, load_edge_list,
                           reachable_from)
 from hitmix.moments import (compute_moments, moment_rhs, simulate_hitting_times)
 from hitmix.sbm import SbmConfig, sample_sbm
@@ -134,6 +136,63 @@ class TestComputeMoments:
         g, seeds = path3()
         t = compute_moments(g, seeds, order=3)
         assert len(t.raw_moments) == 3
+
+
+def path_graph(n):
+    return Graph.from_edges(n, np.arange(n - 1), np.arange(1, n))
+
+
+def cycle_graph(n):
+    return Graph.from_edges(n, np.arange(n), (np.arange(n) + 1) % n)
+
+
+def barbell_graph(k, length):
+    """Two K_k joined by a path through `length` extra vertices."""
+    iu, ju = np.triu_indices(k, 1)
+    bridge = np.arange(k - 1, k + length + 1)
+    u = np.concatenate([iu, bridge[:-1], iu + k + length])
+    v = np.concatenate([ju, bridge[1:], ju + k + length])
+    return Graph.from_edges(2 * k + length, u, v)
+
+
+def splu_moments(graph, seeds):
+    """Mean and variance from sparse LU solves of the first-step systems."""
+    idx = seeds.complement
+    p_sub = (sp.diags(1.0 / graph.degrees[idx])
+             @ graph.restricted_adjacency(idx).astype(float))
+    lu = splu(sp.csc_matrix(sp.identity(idx.size) - p_sub))
+    m1 = lu.solve(np.ones(idx.size))
+    m2 = lu.solve(1.0 + 2.0 * (p_sub @ m1))
+    return m1, m2 - m1 ** 2
+
+
+def max_rel_err(x, ref):
+    return np.abs(x - ref).max() / np.abs(ref).max()
+
+
+class TestBadlyConditioned:
+    """Long mixing times: restarted CG never converged on the path and cycle."""
+
+    @pytest.mark.parametrize("n, tol", [(2000, 1e-8), (8000, 1e-7)])
+    def test_path_closed_form(self, n, tol):
+        # Seeded at one end: E_k T = k (2 (n - 1) - k) (Kemeny & Snell).
+        t = compute_moments(path_graph(n), SeedSet.from_members([0], n))
+        k = t.vertices.astype(float)
+        assert max_rel_err(t.mean, k * (2 * (n - 1) - k)) <= tol
+
+    def test_cycle_closed_form(self):
+        n = 1000
+        t = compute_moments(cycle_graph(n), SeedSet.from_members([0], n))
+        k = t.vertices.astype(float)
+        assert max_rel_err(t.mean, k * (n - k)) <= 1e-8
+
+    def test_barbell_matches_sparse_lu(self):
+        g = barbell_graph(50, 20)
+        seeds = SeedSet.from_members([0], g.n_vertices)
+        t = compute_moments(g, seeds)
+        mean, var = splu_moments(g, seeds)
+        assert max_rel_err(t.mean, mean) <= 1e-8
+        assert max_rel_err(t.variance, var) <= 1e-8
 
 
 class TestSimulation:

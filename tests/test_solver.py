@@ -3,8 +3,9 @@ import io
 import numpy as np
 import pytest
 
-from hitmix.graph import (NonSeedIndex, SeedSet, build_nonseed_index,
+from hitmix.graph import (Graph, NonSeedIndex, SeedSet, build_nonseed_index,
                           load_edge_list)
+from hitmix.moments import compute_moments
 from hitmix.sbm import SbmConfig, sample_sbm
 from hitmix.solver import (CgConfig, NonSpdError, RestrictedOperator,
                            conjugate_gradient)
@@ -124,6 +125,30 @@ class TestConjugateGradient:
         b = np.ones(op.n)
         _, stats = conjugate_gradient(op, b)
         assert stats.final_rel_residual <= 1.0
+
+    def test_path_converges_within_n_iterations(self):
+        # Textbook CG needs about n iterations on a path; restarted CG did not
+        # converge within 10 n.
+        n = 2000
+        g = Graph.from_edges(n, np.arange(n - 1), np.arange(1, n))
+        t = compute_moments(g, SeedSet.from_members([0], n))
+        for stats in t.cg_stats:
+            assert stats.converged and stats.iterations <= n + 10
+
+    def test_stop_at_precision_floor_reports_true_residual(self):
+        # On a long path ||x|| >> ||b||, so the true residual cannot reach
+        # 1e-10 in double precision; the solve stops at the floor instead.
+        n = 2000
+        g = Graph.from_edges(n, np.arange(n - 1), np.arange(1, n))
+        op = RestrictedOperator(g, build_nonseed_index(g, SeedSet.from_members([0], n)))
+        b = np.sqrt(g.degrees[1:].astype(float))
+        x, stats = conjugate_gradient(op, b)
+        true_rel = np.linalg.norm(b - op.apply(x)) / np.linalg.norm(b)
+        assert stats.converged and stats.final_rel_residual > 1e-10
+        assert stats.final_rel_residual == pytest.approx(true_rel, rel=1e-12)
+        backward = np.linalg.norm(b - op.apply(x)) / (
+            2 * np.linalg.norm(x) + np.linalg.norm(b))
+        assert backward <= 16 * np.finfo(float).eps
 
     def test_unreachable_vertices_raise(self):
         # two components, seed only in the first: restricted block is singular

@@ -1,8 +1,9 @@
 """Lognormal mixture over per-vertex hitting-time distributions.
 
-Pipeline: per-vertex method-of-moments lognormal fit -> pseudo-samples ->
-EM fit of a g-component lognormal mixture (grouped by vertex, all samples of
-a vertex share one component) -> BIC model selection -> membership threshold.
+Pipeline: per-vertex method-of-moments lognormal fit -> the two sufficient
+statistics of m pseudo-samples -> EM fit of a g-component lognormal mixture
+(grouped by vertex, all samples of a vertex share one component) -> BIC model
+selection -> membership threshold.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .graph import Graph, SeedSet
 from .moments import MomentTable, compute_moments
@@ -20,6 +20,7 @@ from .solver import CgConfig, HitmixError
 log = logging.getLogger(__name__)
 
 _COLLAPSE_EPS = 1e-12
+_SIGMA2_FLOOR = 1e-8
 _MAX_RESTARTS = 3
 
 
@@ -29,15 +30,18 @@ class EmCollapseError(HitmixError):
 
 @dataclass(frozen=True)
 class LognormalParams:
-    mu: float
-    sigma2: float
+    mu: float | np.ndarray       # arrays when fitted to arrays of moments
+    sigma2: float | np.ndarray
 
 
 @dataclass
 class VertexSamples:
+    """Sufficient statistics of m positive pseudo-samples t_i1..t_im per vertex."""
+
     vertices: np.ndarray   # global ids
-    samples: np.ndarray    # shape (n_vertices, m), all positive
-    rng_seed: int
+    s1: np.ndarray         # sum_j log t_ij
+    s2: np.ndarray         # sum_j (log t_ij)^2
+    m: int
 
 
 @dataclass
@@ -60,8 +64,6 @@ class HitmixConfig:
     em_max_iters: int = 500
     em_rel_tol: float = 1e-8
     rng_seed: int = 0
-    sigma2_floor: float = 1e-8
-    bic_n: str = "observations"  # or "vertices"
     cg: CgConfig = field(default_factory=CgConfig)
 
     def __post_init__(self):
@@ -71,8 +73,6 @@ class HitmixConfig:
             raise ValueError("tau must lie in [0, 1]")
         if any(g < 2 for g in self.g_candidates):
             raise ValueError("all g candidates must be >= 2")
-        if self.bic_n not in ("observations", "vertices"):
-            raise ValueError("bic_n must be 'observations' or 'vertices'")
 
 
 @dataclass
@@ -96,73 +96,76 @@ class MembershipResult:
         return self.fits[self.selected_g]
 
 
-def lognormal_mom(m1: float, m2: float, sigma2_floor: float = 1e-8) -> LognormalParams:
-    """Method-of-moments lognormal parameters from a mean and variance."""
-    if m1 <= 0:
+def lognormal_mom(m1: float | np.ndarray, m2: float | np.ndarray) -> LognormalParams:
+    """Method-of-moments lognormal parameters from a mean and variance.
+
+    Takes scalars or arrays and returns parameters of the same shape.
+    """
+    m1 = np.asarray(m1, dtype=np.float64)
+    m2 = np.asarray(m2, dtype=np.float64)
+    if (m1 <= 0).any():
         raise ValueError("mean must be positive")
-    if m2 < 0:
+    if (m2 < 0).any():
         raise ValueError("variance must be non-negative")
-    sigma2 = max(float(np.log1p(m2 / m1 ** 2)), sigma2_floor)
-    mu = float(np.log(m1)) - sigma2 / 2.0
-    return LognormalParams(mu, sigma2)
+    sigma2 = np.maximum(np.log1p(m2 / m1 ** 2), _SIGMA2_FLOOR)
+    return LognormalParams(np.log(m1) - sigma2 / 2.0, sigma2)
 
 
 def draw_pseudo_samples(moments: MomentTable, m: int, rng_seed: int) -> VertexSamples:
-    """m lognormal variates per vertex from its MOM fit.
+    """Sufficient statistics of m lognormal variates per vertex from its MOM fit.
 
-    Each vertex draws from its own RNG stream keyed by (rng_seed, vertex id),
-    so the result is independent of vertex iteration order.
+    With z_1..z_m iid N(0, 1), sum z ~ N(0, m), and sum z^2 - (sum z)^2 / m ~
+    chi2_{m-1} independently of sum z (Cochran's theorem). Two variates per
+    vertex therefore give (s1, s2) with exactly the law of the statistics of m
+    draws. Each variate comes from a stream indexed by global vertex id, so a
+    vertex's statistics do not depend on which other vertices are present.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     if not moments.reachable.all():
         raise ValueError("moments contain unreachable vertices; restrict first")
-    n = moments.vertices.size
-    samples = np.empty((n, m))
-    for i in range(n):
-        params = lognormal_mom(float(moments.mean[i]), float(moments.variance[i]))
-        rng = np.random.default_rng([rng_seed, int(moments.vertices[i])])
-        samples[i] = rng.lognormal(params.mu, np.sqrt(params.sigma2), m)
-    return VertexSamples(moments.vertices.copy(), samples, rng_seed)
+    params = lognormal_mom(moments.mean, moments.variance)
+    ids = moments.vertices
+    size = int(ids.max()) + 1 if ids.size else 0
+    z_sum = np.sqrt(m) * np.random.default_rng([rng_seed, 0]).standard_normal(size)[ids]
+    # standard_gamma(0) is 0, so m = 1 needs no special case; chisquare(0) raises.
+    chi2 = 2.0 * np.random.default_rng([rng_seed, 1]).standard_gamma((m - 1) / 2.0, size)[ids]
+    s1 = m * params.mu + np.sqrt(params.sigma2) * z_sum
+    s2 = s1 ** 2 / m + params.sigma2 * chi2
+    return VertexSamples(ids.copy(), s1, s2, m)
 
 
-def _component_loglik(s1, s2, m, mu, sigma2):
-    """Per-vertex log prod_j f(t_ij; theta_k) from sufficient statistics.
-
-    s1 = sum_j log t_ij, s2 = sum_j (log t_ij)^2; the leading -s1 is the
-    lognormal Jacobian term.
-    """
-    quad = s2 - 2.0 * mu * s1 + m * mu * mu
-    return -s1 - 0.5 * m * np.log(2.0 * np.pi * sigma2) - quad / (2.0 * sigma2)
+def _log_normal_mle(sums: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """mu and floored sigma2 of log t from rows of (vertex count, sum s1, sum s2),
+    each sum possibly weighted by responsibilities."""
+    n_obs = m * sums[..., 0]
+    mu = sums[..., 1] / n_obs
+    return mu, np.maximum(sums[..., 2] / n_obs - mu ** 2, _SIGMA2_FLOOR)
 
 
 def em_fit(samples: VertexSamples, g: int, cfg: HitmixConfig | None = None) -> MixtureFit:
-    """EM for a g-component lognormal mixture over grouped vertex samples."""
+    """EM for a g-component lognormal mixture over grouped vertex samples.
+
+    log prod_j f(t_ij; theta_k) = -s1_i + [1, s1_i, s2_i] . w_k, so the E-step
+    is one (n x 3) @ (3 x g) product and the M-step reads resp.T @ [1, s1, s2].
+    """
     if cfg is None:
         cfg = HitmixConfig()
     if g < 2:
         raise ValueError("g must be >= 2")
-    data = samples.samples
-    n, m = data.shape
+    n, m = samples.s1.size, samples.m
     if g > n:
         raise ValueError(f"g = {g} exceeds number of vertices ({n})")
 
-    logt = np.log(data)
-    s1 = logt.sum(axis=1)
-    s2 = (logt ** 2).sum(axis=1)
+    stats = np.column_stack([np.ones(n), samples.s1, samples.s2])
+    log_jacobian = -float(samples.s1.sum())
 
     # Deterministic init: quantile split on the per-vertex mean of log t.
-    order = np.argsort(s1, kind="stable")
-    mus = np.empty(g)
-    sigma2s = np.empty(g)
-    for k, group in enumerate(np.array_split(order, g)):
-        vals = logt[group].ravel()
-        mus[k] = vals.mean()
-        sigma2s[k] = max(float(vals.var()), cfg.sigma2_floor)
+    order = np.argsort(samples.s1, kind="stable")
+    mus, sigma2s = _log_normal_mle(
+        np.array([stats[group].sum(axis=0) for group in np.array_split(order, g)]), m)
     pis = np.full(g, 1.0 / g)
-
-    global_mu = float(logt.mean())
-    global_sigma2 = max(float(logt.var()), cfg.sigma2_floor)
+    global_mu, global_sigma2 = _log_normal_mle(stats.sum(axis=0), m)
 
     ll_history: list[float] = []
     resp = np.full((n, g), 1.0 / g)
@@ -172,14 +175,16 @@ def em_fit(samples: VertexSamples, g: int, cfg: HitmixConfig | None = None) -> M
     it = 0
     while it < cfg.em_max_iters:
         it += 1
-        # E-step in log space.
-        log_joint = np.empty((n, g))
-        for k in range(g):
-            log_joint[:, k] = np.log(pis[k]) + _component_loglik(
-                s1, s2, m, mus[k], sigma2s[k])
-        lse = logsumexp(log_joint, axis=1)
-        resp = np.exp(log_joint - lse[:, None])
-        ll_new = float(lse.sum())
+        # E-step in log space, shifted by the row maximum.
+        w = np.array([-0.5 * m * np.log(2.0 * np.pi * sigma2s) - m * mus ** 2 / (2.0 * sigma2s),
+                      mus / sigma2s,
+                      -0.5 / sigma2s])
+        log_joint = stats @ w + np.log(pis)
+        top = log_joint.max(axis=1, keepdims=True)
+        joint = np.exp(log_joint - top)
+        total = joint.sum(axis=1, keepdims=True)
+        resp = joint / total
+        ll_new = float((top + np.log(total)).sum()) + log_jacobian
         ll_history.append(ll_new)
         if np.isfinite(ll) and abs(ll_new - ll) <= cfg.em_rel_tol * max(1.0, abs(ll)):
             ll = ll_new
@@ -188,7 +193,8 @@ def em_fit(samples: VertexSamples, g: int, cfg: HitmixConfig | None = None) -> M
         ll = ll_new
 
         # M-step.
-        nk = resp.sum(axis=0)
+        sums = resp.T @ stats
+        nk = sums[:, 0]
         collapsed = nk / n < _COLLAPSE_EPS
         if collapsed.any():
             restarts += 1
@@ -197,27 +203,22 @@ def em_fit(samples: VertexSamples, g: int, cfg: HitmixConfig | None = None) -> M
                     f"component collapsed {restarts} times during EM (g={g})")
             log.warning("EM component collapse (g=%d, iter=%d); restarting "
                         "%d component(s) at the global MLE", g, it, collapsed.sum())
-            for k in np.flatnonzero(collapsed):
-                mus[k] = global_mu
-                sigma2s[k] = global_sigma2
-                pis[k] = 1.0 / g
+            mus[collapsed] = global_mu
+            sigma2s[collapsed] = global_sigma2
+            pis[collapsed] = 1.0 / g
             pis = pis / pis.sum()
             continue
-        mus = resp.T @ s1 / (m * nk)
-        quad = (s2[:, None] - 2.0 * mus[None, :] * s1[:, None]
-                + m * mus[None, :] ** 2)
-        sigma2s = np.maximum((resp * quad).sum(axis=0) / (m * nk), cfg.sigma2_floor)
+        mus, sigma2s = _log_normal_mle(sums, m)
         pis = nk / n
 
     components = [LognormalParams(float(mus[k]), float(sigma2s[k])) for k in range(g)]
     return MixtureFit(g, components, pis, resp, ll, ll_history, it, converged)
 
 
-def bic(fit: MixtureFit, n_vertices: int, m: int, mode: str = "observations") -> float:
-    """Schwarz criterion, lower is better: p ln(N) - 2 log L."""
+def bic(fit: MixtureFit, n_vertices: int, m: int) -> float:
+    """Schwarz criterion, lower is better: p ln(N) - 2 log L over N = n m samples."""
     p = 3 * fit.g - 1
-    n_obs = n_vertices * m if mode == "observations" else n_vertices
-    return float(p * np.log(n_obs) - 2.0 * fit.log_likelihood)
+    return float(p * np.log(n_vertices * m) - 2.0 * fit.log_likelihood)
 
 
 def component_means(fit: MixtureFit) -> np.ndarray:
@@ -244,7 +245,7 @@ def hitmix(graph: Graph, seeds: SeedSet, cfg: HitmixConfig | None = None,
             continue
         fit = em_fit(samples, g, cfg)
         fits[g] = fit
-        bic_by_g[g] = bic(fit, reach.vertices.size, cfg.m, cfg.bic_n)
+        bic_by_g[g] = bic(fit, reach.vertices.size, cfg.m)
     if not fits:
         raise ValueError("no feasible g candidate for this instance")
 

@@ -46,29 +46,24 @@ class MomentTable:
                            self.reachable[mask], self.raw_moments, self.cg_stats)
 
 
-def moment_rhs(m: int, lower_moments: list[np.ndarray], graph: Graph,
-               index: NonSeedIndex) -> np.ndarray:
+def moment_rhs(m: int, lower_moments: list[np.ndarray], lower_rhs: list[np.ndarray],
+               n: int) -> np.ndarray:
     """Right-hand side of the m-th moment system in original coordinates.
 
-    b_i = 1 + sum_{s=1}^{m-1} C(m, s) * sum_{j in subset} P_ij * (E T^s)_j
-    with P_ij = multiplicity(i, j) / d_i.
+    First-step analysis gives b_m = 1 + sum_{s=1}^{m-1} C(m, s) P E T^s, and
+    (I - P) E T^s = b_s turns each P E T^s into E T^s - b_s, so
+    b_m = 1 + sum_{s=1}^{m-1} C(m, s) (E T^s - b_s) needs no graph.
     """
     if m < 1:
         raise ValueError("moment order must be >= 1")
-    if len(lower_moments) != m - 1:
-        raise ValueError(f"expected {m - 1} lower moment vectors, got {len(lower_moments)}")
-    n = index.size
+    if len(lower_moments) != m - 1 or len(lower_rhs) != m - 1:
+        raise ValueError(f"expected {m - 1} lower moment and right-hand side vectors, "
+                         f"got {len(lower_moments)} and {len(lower_rhs)}")
     b = np.ones(n)
-    if m == 1:
-        return b
-    vertices = index.local_to_global
-    p_sub = graph.restricted_adjacency(vertices).astype(np.float64)
-    inv_deg = 1.0 / graph.degrees[vertices].astype(np.float64)
-    for s in range(1, m):
-        et_s = np.asarray(lower_moments[s - 1], dtype=np.float64)
-        if et_s.shape != (n,):
-            raise ValueError("lower moment vector has wrong length")
-        b += comb(m, s) * inv_deg * (p_sub @ et_s)
+    for s, (et_s, b_s) in enumerate(zip(lower_moments, lower_rhs), start=1):
+        if np.shape(et_s) != (n,) or np.shape(b_s) != (n,):
+            raise ValueError("lower moment or right-hand side vector has wrong length")
+        b += comb(m, s) * (et_s - b_s)
     return b
 
 
@@ -92,13 +87,15 @@ def compute_moments(graph: Graph, seeds: SeedSet, order: int = 2,
     sqrt_deg = np.sqrt(graph.degrees[reach_vertices].astype(np.float64))
 
     raw: list[np.ndarray] = []
+    rhs: list[np.ndarray] = []
     stats: list[CgStats] = []
     for m in range(1, order + 1):
-        b = moment_rhs(m, raw, graph, index)
+        b = moment_rhs(m, raw, rhs, index.size)
         x_tilde, st = conjugate_gradient(op, sqrt_deg * b, cfg)
         if not st.converged:
             raise MomentConvergenceError(m, st)
         raw.append(x_tilde / sqrt_deg)
+        rhs.append(b)
         stats.append(st)
 
     n_c = complement.size

@@ -20,16 +20,12 @@ from .graph import Graph, NonSeedIndex
 class CgConfig:
     rel_tol: float = 1e-10
     max_iters: int | None = None  # default: max(1000, 10 * n)
-    start: str = "zeros"  # "zeros" or "random"
-    start_seed: int | None = None
 
     def __post_init__(self):
         if not (0.0 < self.rel_tol < 1.0):
             raise ValueError("rel_tol must lie in (0, 1)")
         if self.max_iters is not None and self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.start not in ("zeros", "random"):
-            raise ValueError("start must be 'zeros' or 'random'")
 
     def resolve_max_iters(self, n: int) -> int:
         if self.max_iters is not None:
@@ -114,20 +110,11 @@ def conjugate_gradient(op: RestrictedOperator, b: np.ndarray,
     if b_norm == 0.0:
         return np.zeros(op.n), CgStats(0, 0.0, True)
 
-    if cfg.start == "zeros":
-        x = np.zeros(op.n)
-        r = b.copy()
-    else:
-        rng = np.random.default_rng(cfg.start_seed)
-        x = rng.standard_normal(op.n)
-        r = b - op.apply(x)
-
+    x = np.zeros(op.n)
+    r = b.copy()
     p = r.copy()
     rr = float(r @ r)
     max_iters = cfg.resolve_max_iters(op.n)
-    rel = np.sqrt(rr) / b_norm
-    if rel <= cfg.rel_tol:
-        return x, CgStats(0, float(rel), True)
 
     for k in range(1, max_iters + 1):
         hp = op.apply(p)

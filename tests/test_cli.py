@@ -1,11 +1,13 @@
 import json
-import os
-
 import logging
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import hitmix
 import hitmix.mixture
 import hitmix.moments
 from hitmix.cli import run
@@ -132,6 +134,22 @@ def test_eval_one_column_is_input_error(tmp_path, caplog):
     assert rc == 2
     assert [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR] \
         == [f"{tmp_path / 'p.tsv'}:2: expected 2 columns"]
+
+
+
+def test_module_entry_point_runs_commands(tmp_path):
+    # python -m hitmix.cli must run the command, not import the module and exit 0.
+    (tmp_path / "p.tsv").write_text("vertex_id\n0\n1\n")
+    (tmp_path / "t.tsv").write_text("0\t1\n1\t0\n")
+    src = os.path.dirname(os.path.dirname(hitmix.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hitmix.cli", "eval", "--predicted", str(tmp_path / "p.tsv"),
+         "--truth", str(tmp_path / "t.tsv")],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert "expected 2 columns" in proc.stderr
 
 
 def _raise(exc):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import lognorm
 
 from hitmix.graph import SeedSet, load_edge_list
 from hitmix.mixture import (HitmixConfig, MomentTable, VertexSamples, bic,
@@ -26,13 +27,19 @@ def moment_table(vertices, means, variances):
                        np.ones(vertices.size, dtype=bool), [], [])
 
 
+def statistics_of(data):
+    """VertexSamples of an explicit (n, m) matrix of positive samples."""
+    logt = np.log(data)
+    return VertexSamples(np.arange(data.shape[0]), logt.sum(axis=1),
+                         (logt ** 2).sum(axis=1), data.shape[1])
+
+
 def synthetic_samples(log_means, sigma2, n_per_group, m, seed):
     rng = np.random.default_rng(seed)
     rows = []
     for mu in log_means:
         rows.append(rng.lognormal(mu, np.sqrt(sigma2), size=(n_per_group, m)))
-    data = np.vstack(rows)
-    return VertexSamples(np.arange(data.shape[0]), data, seed)
+    return statistics_of(np.vstack(rows))
 
 
 class TestLognormalMom:
@@ -71,27 +78,60 @@ class TestPseudoSamples:
         t = moment_table([0, 1, 2], [2.0, 3.0, 4.0], [1.0, 2.0, 3.0])
         a = draw_pseudo_samples(t, 10, 5)
         b = draw_pseudo_samples(t, 10, 5)
-        assert np.array_equal(a.samples, b.samples)
+        assert np.array_equal(a.s1, b.s1) and np.array_equal(a.s2, b.s2)
 
     def test_vertex_streams_independent_of_order(self):
         t = moment_table([3, 7], [2.0, 5.0], [1.0, 1.0])
         t_rev = moment_table([7, 3], [5.0, 2.0], [1.0, 1.0])
         a = draw_pseudo_samples(t, 8, 9)
         b = draw_pseudo_samples(t_rev, 8, 9)
-        assert np.array_equal(a.samples[0], b.samples[1])
-        assert np.array_equal(a.samples[1], b.samples[0])
+        assert np.array_equal(a.s1, b.s1[::-1])
+        assert np.array_equal(a.s2, b.s2[::-1])
+
+    def test_vertex_streams_independent_of_other_vertices(self):
+        rng = np.random.default_rng(0)
+        vertices = np.sort(rng.choice(500, size=40, replace=False))
+        t = moment_table(vertices, rng.uniform(1.0, 50.0, 40), rng.uniform(0.0, 100.0, 40))
+        full = draw_pseudo_samples(t, 25, 3)
+        # drop the smallest, a middle and the largest id in turn
+        for drop in (0, 17, 39):
+            keep = np.arange(40) != drop
+            part = draw_pseudo_samples(
+                moment_table(vertices[keep], t.mean[keep], t.variance[keep]), 25, 3)
+            assert np.array_equal(part.s1, full.s1[keep])
+            assert np.array_equal(part.s2, full.s2[keep])
+
+    def test_statistics_have_sample_law(self):
+        # s1 / m ~ N(mu, sigma2 / m) and (s2 - s1^2 / m) / sigma2 ~ chi2_{m-1}
+        n, m = 20_000, 25
+        mean, var = 6.0, 9.0
+        p = lognormal_mom(mean, var)
+        s = draw_pseudo_samples(moment_table(np.arange(n), np.full(n, mean),
+                                             np.full(n, var)), m, 4)
+        assert abs((s.s1 / m).mean() - p.mu) <= 3 * np.sqrt(p.sigma2 / (m * n))
+        scatter = (s.s2 - s.s1 ** 2 / m) / p.sigma2
+        assert abs(scatter.mean() - (m - 1)) <= 3 * np.sqrt(2 * (m - 1) / n)
+
+    def test_single_sample_has_no_scatter(self):
+        t = moment_table([0, 1], [2.0, 3.0], [1.0, 2.0])
+        s = draw_pseudo_samples(t, 1, 6)
+        assert np.array_equal(s.s2, s.s1 ** 2)
 
     def test_floored_variance_samples_near_mean(self):
         t = moment_table([0], [5.0], [0.0])
-        s = draw_pseudo_samples(t, 100, 1).samples
-        assert np.allclose(s, 5.0, rtol=1e-3)
+        s = draw_pseudo_samples(t, 100, 1)
+        assert np.allclose(np.exp(s.s1 / 100), 5.0, rtol=1e-3)
+        assert abs(s.s2 / 100 - (s.s1 / 100) ** 2).max() <= 1e-6
 
     def test_law_of_large_numbers(self):
         t = moment_table([0], [6.0], [9.0])
+        p = lognormal_mom(6.0, 9.0)
         m = 100_000
-        s = draw_pseudo_samples(t, m, 2).samples[0]
-        se = s.std(ddof=1) / np.sqrt(m)
-        assert abs(s.mean() - 6.0) <= 3 * se
+        s = draw_pseudo_samples(t, m, 2)
+        log_mean = s.s1[0] / m
+        log_var = (s.s2[0] - s.s1[0] ** 2 / m) / (m - 1)
+        assert abs(log_mean - p.mu) <= 3 * np.sqrt(p.sigma2 / m)
+        assert abs(log_var - p.sigma2) <= 3 * p.sigma2 * np.sqrt(2.0 / (m - 1))
 
     def test_zero_m_errors(self):
         t = moment_table([0], [1.0], [1.0])
@@ -115,11 +155,21 @@ class TestEmFit:
         assert np.allclose(np.sort(fit.weights), [0.5, 0.5], atol=0.05)
 
     def test_identical_samples_do_not_crash(self):
-        data = np.full((20, 10), 3.0)
-        vs = VertexSamples(np.arange(20), data, 0)
+        vs = statistics_of(np.full((20, 10), 3.0))
         fit = em_fit(vs, 2)
         assert np.allclose(fit.responsibilities, fit.weights, atol=1e-9)
         assert np.isfinite(fit.log_likelihood)
+
+    def test_log_likelihood_matches_sample_matrix(self):
+        rng = np.random.default_rng(12)
+        data = np.vstack([rng.lognormal(0.0, 0.5, size=(6, 5)),
+                          rng.lognormal(2.0, 0.3, size=(6, 5))])
+        fit = em_fit(statistics_of(data), 2, HitmixConfig(em_rel_tol=1e-14))
+        assert fit.converged
+        joint = sum(w * lognorm.pdf(data, s=np.sqrt(c.sigma2), scale=np.exp(c.mu)).prod(axis=1)
+                    for w, c in zip(fit.weights, fit.components))
+        direct = float(np.log(joint).sum())
+        assert abs(fit.log_likelihood - direct) <= 1e-10 * abs(direct)
 
     def test_loglik_monotone(self):
         vs = synthetic_samples([0.0, 1.0], 0.5, 60, 10, seed=8)
@@ -158,12 +208,6 @@ class TestBic:
     def test_selects_true_group_count(self):
         vs = synthetic_samples([0.0, 5.0], 0.1, 100, 25, seed=5)
         assert bic(em_fit(vs, 2), 200, 25) < bic(em_fit(vs, 3), 200, 25)
-
-    def test_vertex_mode(self):
-        vs = synthetic_samples([0.0, 3.0], 0.2, 50, 10, seed=4)
-        fit = em_fit(vs, 2)
-        assert bic(fit, 100, 10, "vertices") == pytest.approx(
-            5 * np.log(100) - 2 * fit.log_likelihood, rel=1e-14)
 
 
 class TestHitmix:

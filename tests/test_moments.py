@@ -5,8 +5,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from hitmix.graph import (Graph, SeedSet, build_nonseed_index, load_edge_list,
-                          reachable_from)
+from hitmix.graph import Graph, SeedSet, load_edge_list, reachable_from
 from hitmix.moments import (compute_moments, moment_rhs, simulate_hitting_times)
 from hitmix.sbm import SbmConfig, sample_sbm
 from hitmix.solver import CgConfig
@@ -48,29 +47,26 @@ def dense_moments(graph, seeds, order=2):
 
 class TestMomentRhs:
     def test_order_one_is_ones(self):
-        g, seeds = path3()
-        idx = build_nonseed_index(g, seeds)
-        assert moment_rhs(1, [], g, idx).tolist() == [1.0, 1.0]
+        assert moment_rhs(1, [], [], 2).tolist() == [1.0, 1.0]
 
     def test_order_two_hand_value(self):
-        g, seeds = path3()
-        idx = build_nonseed_index(g, seeds)
-        b2 = moment_rhs(2, [np.array([4.0, 3.0])], g, idx)
+        # path3 seeded at 2: E T = [4, 3], b_1 = 1, b_2 = 1 + 2 (E T - b_1).
+        b2 = moment_rhs(2, [np.array([4.0, 3.0])], [np.ones(2)], 2)
         assert np.allclose(b2, [7.0, 5.0], atol=1e-14)
 
     def test_zero_lower_moments(self):
-        g, seeds = path3()
-        idx = build_nonseed_index(g, seeds)
-        b2 = moment_rhs(2, [np.zeros(2)], g, idx)
+        b2 = moment_rhs(2, [np.zeros(2)], [np.zeros(2)], 2)
         assert b2.tolist() == [1.0, 1.0]
 
     def test_invalid_order(self):
-        g, seeds = path3()
-        idx = build_nonseed_index(g, seeds)
         with pytest.raises(ValueError):
-            moment_rhs(0, [], g, idx)
+            moment_rhs(0, [], [], 2)
         with pytest.raises(ValueError):
-            moment_rhs(2, [], g, idx)
+            moment_rhs(2, [], [], 2)
+        with pytest.raises(ValueError):
+            moment_rhs(2, [np.ones(2)], [], 2)
+        with pytest.raises(ValueError):
+            moment_rhs(2, [np.ones(3)], [np.ones(3)], 2)
 
 
 class TestComputeMoments:
@@ -118,14 +114,15 @@ class TestComputeMoments:
         g = random_connected(80, 0.1, 9)
         seeds = SeedSet.from_members(range(5), 80)
         t = compute_moments(g, seeds)
-        idx = build_nonseed_index(g, seeds)
-        rhs = moment_rhs(2, [t.mean], g, idx)  # reuses P_sub machinery
         # direct check of mu_i = 1 + sum_j P_ij mu_j
         p_sub = g.restricted_adjacency(seeds.complement).astype(float)
         inv_d = 1.0 / g.degrees[seeds.complement]
-        resid = t.mean - (1.0 + inv_d * (p_sub @ t.mean))
+        p_mean = inv_d * (p_sub @ t.mean)
+        resid = t.mean - (1.0 + p_mean)
         assert np.abs(resid).max() <= 1e-8
-        assert rhs.shape == t.mean.shape
+        # the graph-free right-hand side equals the first-step one, 1 + 2 P E T
+        rhs = moment_rhs(2, [t.mean], [np.ones(t.mean.size)], t.mean.size)
+        assert np.abs(rhs - (1.0 + 2.0 * p_mean)).max() <= 1e-8 * np.abs(rhs).max()
 
     def test_mean_at_least_one(self):
         g = random_connected(60, 0.15, 2)
@@ -136,6 +133,8 @@ class TestComputeMoments:
         g, seeds = path3()
         t = compute_moments(g, seeds, order=3)
         assert len(t.raw_moments) == 3
+        for raw, dense in zip(t.raw_moments, dense_moments(g, seeds, order=3)):
+            assert np.allclose(raw, dense, rtol=1e-10)
 
 
 def path_graph(n):

@@ -61,7 +61,7 @@ def _cmd_moments(args) -> int:
     graph, seeds = _load_graph_and_seeds(args)
     cfg = CgConfig(rel_tol=args.cg_tol)
     t0 = time.perf_counter()
-    table = compute_moments(graph, seeds, order=2, cfg=cfg)
+    table = compute_moments(graph, seeds, cfg)
     log.info("moments: %d vertices, %s, %.3fs", table.vertices.size,
              _cg_summary(table.cg_stats), time.perf_counter() - t0)
     lines = ["vertex_id\tmean\tvariance\treachable"]
@@ -121,19 +121,35 @@ def _cmd_expand(args) -> int:
     return 0
 
 
-def _parse_kv_config(path: str) -> dict[str, str]:
-    out: dict[str, str] = {}
+# Optional sbm-sim config keys and their defaults; `sweep` and `values` are required.
+_SBM_SIM_DEFAULTS = {
+    "seed": None, "samples_per_vertex": "25", "clusters": "2", "tau": "0.5",
+    "mc_samples": "50", "n_blocks": "2", "block_size": "100", "p_in": "0.15",
+    "p_out": "0.05", "scale_p_out": "false", "hitting_set_size": "10", "workers": "1",
+}
+
+
+def _parse_kv_config(path: str, required: tuple[str, ...],
+                     defaults: dict[str, str | None]) -> dict[str, str | None]:
+    """'key = value' lines over the defaults; unknown or missing keys are errors."""
+    out = dict(defaults)
     with open(path) as f:
         for line_no, line in data_lines(f):
             if "=" not in line:
                 raise ValueError(f"{path}:{line_no}: expected 'key = value'")
             key, _, value = line.partition("=")
-            out[key.strip()] = value.strip()
+            key = key.strip()
+            if key not in defaults and key not in required:
+                raise ValueError(f"{path}: unknown key {key!r}")
+            out[key] = value.strip()
+    for key in required:
+        if key not in out:
+            raise ValueError(f"{path}: missing key {key!r}")
     return out
 
 
 def _cmd_sbm_sim(args) -> int:
-    kv = _parse_kv_config(args.config)
+    kv = _parse_kv_config(args.config, ("sweep", "values"), _SBM_SIM_DEFAULTS)
     sweep = kv["sweep"]
     if sweep not in SWEEPS:
         raise ValueError(f"sweep must be one of {SWEEPS}")
@@ -141,25 +157,24 @@ def _cmd_sbm_sim(args) -> int:
     values = ([int(v) for v in raw_values] if sweep != "p_in"
               else [float(v) for v in raw_values])
     seed = _resolve_seed(args.seed if args.seed is not None
-                         else (int(kv["seed"]) if "seed" in kv else None))
+                         else (int(kv["seed"]) if kv["seed"] is not None else None))
     hm_cfg = HitmixConfig(
-        m=int(kv.get("samples_per_vertex", 25)),
-        g_candidates=_parse_clusters(kv.get("clusters", "2")),
-        tau=float(kv.get("tau", 0.5)),
+        m=int(kv["samples_per_vertex"]),
+        g_candidates=_parse_clusters(kv["clusters"]),
+        tau=float(kv["tau"]),
     )
     spec = SimulationSpec(
         sweep=sweep,
         values=values,
-        mc_samples=int(kv.get("mc_samples", 50)),
-        n_blocks=int(kv.get("n_blocks", 2)),
-        block_size=int(kv.get("block_size", 100)),
-        p_in=float(kv.get("p_in", 0.15)),
-        p_out=float(kv.get("p_out", 0.05)),
-        scale_p_out=kv.get("scale_p_out", "false").lower() in ("1", "true", "yes"),
-        hitting_set_size=int(kv.get("hitting_set_size", 10)),
+        mc_samples=int(kv["mc_samples"]),
+        n_blocks=int(kv["n_blocks"]),
+        block_size=int(kv["block_size"]),
+        p_in=float(kv["p_in"]),
+        p_out=float(kv["p_out"]),
+        scale_p_out=kv["scale_p_out"].lower() in ("1", "true", "yes"),
+        hitting_set_size=int(kv["hitting_set_size"]),
         seed=seed,
-        workers=args.workers if args.workers is not None
-        else int(kv.get("workers", 1)),
+        workers=args.workers if args.workers is not None else int(kv["workers"]),
         hitmix_cfg=hm_cfg,
     )
     t0 = time.perf_counter()

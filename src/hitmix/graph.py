@@ -50,21 +50,11 @@ class Graph:
             raise ValueError("negative vertex id")
         if u.size and max(u.max(), v.max()) >= n_vertices:
             raise ValueError("vertex id exceeds n_vertices")
-        lo = np.minimum(u, v)
-        hi = np.maximum(u, v)
-        pairs, counts = np.unique(np.stack([lo, hi], axis=1), axis=0, return_counts=True) if u.size else (
-            np.empty((0, 2), dtype=np.int64), np.empty(0, dtype=np.int64))
-        loops = pairs[:, 0] == pairs[:, 1]
-        rows = np.concatenate([pairs[:, 0], pairs[~loops, 1]])
-        cols = np.concatenate([pairs[:, 1], pairs[~loops, 0]])
-        # Self-loop entries are doubled so degrees equal row sums.
-        vals = np.concatenate([np.where(loops, 2 * counts, counts), counts[~loops]])
-        adj = sp.csr_matrix((vals, (rows, cols)), shape=(n_vertices, n_vertices))
-        return cls(n_vertices, adj)
-
-    def restricted_adjacency(self, vertices: np.ndarray) -> sp.csr_matrix:
-        """Adjacency submatrix over the given vertex list, in that order."""
-        return self.adjacency[vertices][:, vertices].tocsr()
+        # A = C + C^T for the COO C of the input pairs: a reversed pair adds to
+        # the same entry, and a self-loop gets 2 so that degrees equal row sums.
+        c = sp.coo_matrix((np.ones(u.size, dtype=np.int64), (u, v)),
+                          shape=(n_vertices, n_vertices))
+        return cls(n_vertices, c + c.T)
 
 
 @dataclass(frozen=True)
@@ -90,37 +80,10 @@ class SeedSet:
         return cls(members, complement)
 
 
-@dataclass(frozen=True)
-class NonSeedIndex:
-    """Bijection between a vertex subset and local indices 0..k-1.
-
-    global_to_local holds -1 for vertices outside the subset.
-    """
-
-    global_to_local: np.ndarray
-    local_to_global: np.ndarray
-
-    @classmethod
-    def from_vertices(cls, n_vertices: int, vertices: np.ndarray) -> "NonSeedIndex":
-        vertices = np.asarray(vertices, dtype=np.int64)
-        g2l = np.full(n_vertices, -1, dtype=np.int64)
-        g2l[vertices] = np.arange(vertices.size)
-        g2l.flags.writeable = False
-        l2g = vertices.copy()
-        l2g.flags.writeable = False
-        return cls(g2l, l2g)
-
-    @property
-    def size(self) -> int:
-        return self.local_to_global.size
-
-
-@dataclass(frozen=True)
-class ReachabilityReport:
-    """Per non-seed vertex: does an undirected path to the seed set exist?"""
-
-    reachable: np.ndarray  # bool, aligned with SeedSet.complement
-    unreachable_count: int
+# The largest id sets n, and a graph costs O(n) memory. An n beyond this many
+# vertices per edge (plus a fixed allowance) is taken as sparse ids, not a graph.
+_MAX_VERTICES_PER_EDGE = 10
+_SPARE_VERTICES = 1000
 
 
 def data_lines(stream: IO[str]) -> Iterator[tuple[int, str]]:
@@ -154,6 +117,9 @@ def load_edge_list(stream: IO[str]) -> Graph:
     if not us:
         raise EdgeListParseError(0, "no edges in input")
     n = 1 + max(max(us), max(vs))
+    if n > _MAX_VERTICES_PER_EDGE * len(us) + _SPARE_VERTICES:
+        raise EdgeListParseError(0, f"vertex id {n - 1} implies {n} vertices for "
+                                    f"{len(us)} edges; make ids dense with `hitmix relabel`")
     return Graph.from_edges(n, np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64))
 
 
@@ -168,17 +134,11 @@ def load_seed_file(stream: IO[str], n_vertices: int) -> SeedSet:
     return SeedSet.from_members(members, n_vertices)
 
 
-def reachable_from(graph: Graph, seeds: SeedSet) -> ReachabilityReport:
-    """Mark each non-seed vertex reachable iff its component contains a seed."""
+def reachable_from(graph: Graph, seeds: SeedSet) -> np.ndarray:
+    """Read-only bool mask over seeds.complement: does the vertex's component
+    contain a seed?"""
     _, labels = connected_components(graph.adjacency, directed=False)
     seed_components = np.unique(labels[list(seeds.members)])
     reachable = np.isin(labels[seeds.complement], seed_components)
     reachable.flags.writeable = False
-    return ReachabilityReport(reachable, int((~reachable).sum()))
-
-
-def build_nonseed_index(graph: Graph, seeds: SeedSet) -> NonSeedIndex:
-    """Local coordinate system over the non-seed vertices, ascending order."""
-    if max(seeds.members) >= graph.n_vertices:
-        raise ValueError("seed id out of range for graph")
-    return NonSeedIndex.from_vertices(graph.n_vertices, seeds.complement)
+    return reachable

@@ -73,6 +73,8 @@ class HitmixConfig:
             raise ValueError("tau must lie in [0, 1]")
         if any(g < 2 for g in self.g_candidates):
             raise ValueError("all g candidates must be >= 2")
+        if self.em_max_iters < 1:
+            raise ValueError("em_max_iters must be >= 1")
 
 
 @dataclass
@@ -226,14 +228,13 @@ def component_means(fit: MixtureFit) -> np.ndarray:
     return np.array([np.exp(c.mu + c.sigma2 / 2.0) for c in fit.components])
 
 
-def hitmix(graph: Graph, seeds: SeedSet, cfg: HitmixConfig | None = None,
-           moments: MomentTable | None = None) -> MembershipResult:
+def hitmix(graph: Graph, seeds: SeedSet,
+           cfg: HitmixConfig | None = None) -> MembershipResult:
     """Full pipeline: moments -> pseudo-samples -> EM over g candidates ->
     BIC selection -> goal membership at threshold tau."""
     if cfg is None:
         cfg = HitmixConfig()
-    if moments is None:
-        moments = compute_moments(graph, seeds, order=2, cfg=cfg.cg)
+    moments = compute_moments(graph, seeds, cfg.cg)
     reach = moments.restrict_reachable()
     samples = draw_pseudo_samples(reach, cfg.m, cfg.rng_seed)
 

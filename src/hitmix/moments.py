@@ -1,9 +1,9 @@
 """Hitting-time moment computation.
 
-Raw moments E T^m for every non-seed vertex satisfy a first-step recursion:
-the m-th moment solves a linear system whose right-hand side depends on the
-lower moments. Each system is solved in symmetrized coordinates (scaled by
-D^{1/2}) where the coefficient matrix is SPD, then mapped back.
+First-step analysis gives, over the non-seed vertices, (I - P) E T = 1 and
+(I - P) E T^2 = 1 + 2 P E T (Kemeny & Snell, Finite Markov Chains). Both
+systems are solved in symmetrized coordinates (scaled by D^{1/2}), where the
+coefficient matrix is SPD, then mapped back.
 
 A vectorized random-walk simulator is included as an independent oracle.
 """
@@ -11,11 +11,10 @@ A vectorized random-walk simulator is included as an independent oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
-from .graph import Graph, NonSeedIndex, ReachabilityReport, SeedSet, reachable_from
+from .graph import Graph, SeedSet, reachable_from
 from .solver import (CgConfig, CgStats, HitmixError, RestrictedOperator,
                      conjugate_gradient)
 
@@ -37,74 +36,47 @@ class MomentTable:
     mean: np.ndarray
     variance: np.ndarray
     reachable: np.ndarray     # bool
-    raw_moments: list[np.ndarray]  # E T^m over reachable vertices, m = 1..order
-    cg_stats: list[CgStats]
+    cg_stats: list[CgStats]   # one per system, E T then E T^2
 
     def restrict_reachable(self) -> "MomentTable":
         mask = self.reachable
         return MomentTable(self.vertices[mask], self.mean[mask], self.variance[mask],
-                           self.reachable[mask], self.raw_moments, self.cg_stats)
+                           self.reachable[mask], self.cg_stats)
 
 
-def moment_rhs(m: int, lower_moments: list[np.ndarray], lower_rhs: list[np.ndarray],
-               n: int) -> np.ndarray:
-    """Right-hand side of the m-th moment system in original coordinates.
-
-    First-step analysis gives b_m = 1 + sum_{s=1}^{m-1} C(m, s) P E T^s, and
-    (I - P) E T^s = b_s turns each P E T^s into E T^s - b_s, so
-    b_m = 1 + sum_{s=1}^{m-1} C(m, s) (E T^s - b_s) needs no graph.
-    """
-    if m < 1:
-        raise ValueError("moment order must be >= 1")
-    if len(lower_moments) != m - 1 or len(lower_rhs) != m - 1:
-        raise ValueError(f"expected {m - 1} lower moment and right-hand side vectors, "
-                         f"got {len(lower_moments)} and {len(lower_rhs)}")
-    b = np.ones(n)
-    for s, (et_s, b_s) in enumerate(zip(lower_moments, lower_rhs), start=1):
-        if np.shape(et_s) != (n,) or np.shape(b_s) != (n,):
-            raise ValueError("lower moment or right-hand side vector has wrong length")
-        b += comb(m, s) * (et_s - b_s)
-    return b
-
-
-def compute_moments(graph: Graph, seeds: SeedSet, order: int = 2,
-                    cfg: CgConfig | None = None,
-                    report: ReachabilityReport | None = None) -> MomentTable:
-    """Solve the moment systems for m = 1..order and assemble mean/variance."""
-    if order < 2:
-        raise ValueError("order must be >= 2 to produce a variance")
+def compute_moments(graph: Graph, seeds: SeedSet,
+                    cfg: CgConfig | None = None) -> MomentTable:
+    """Solve the E T and E T^2 systems and assemble mean/variance."""
     if cfg is None:
         cfg = CgConfig()
-    if report is None:
-        report = reachable_from(graph, seeds)
-    complement = seeds.complement
-    if not report.reachable.any():
+    reachable = reachable_from(graph, seeds)
+    if not reachable.any():
         raise ValueError("no non-seed vertex can reach the seed set")
 
-    reach_vertices = complement[report.reachable]
-    index = NonSeedIndex.from_vertices(graph.n_vertices, reach_vertices)
-    op = RestrictedOperator(graph, index)
-    sqrt_deg = np.sqrt(graph.degrees[reach_vertices].astype(np.float64))
-
-    raw: list[np.ndarray] = []
-    rhs: list[np.ndarray] = []
+    vertices = seeds.complement[reachable]
+    op = RestrictedOperator(graph, vertices)
+    sqrt_deg = np.sqrt(graph.degrees[vertices].astype(np.float64))
     stats: list[CgStats] = []
-    for m in range(1, order + 1):
-        b = moment_rhs(m, raw, rhs, index.size)
+
+    def solve(order: int, b: np.ndarray) -> np.ndarray:
         x_tilde, st = conjugate_gradient(op, sqrt_deg * b, cfg)
         if not st.converged:
-            raise MomentConvergenceError(m, st)
-        raw.append(x_tilde / sqrt_deg)
-        rhs.append(b)
+            raise MomentConvergenceError(order, st)
         stats.append(st)
+        return x_tilde / sqrt_deg
 
-    n_c = complement.size
+    et1 = solve(1, np.ones(vertices.size))
+    # (I - P) E T = 1 turns P E T into E T - 1, so this right-hand side
+    # 1 + 2 P E T needs no graph.
+    et2 = solve(2, 1.0 + 2.0 * (et1 - 1.0))
+
+    n_c = seeds.complement.size
     mean = np.full(n_c, np.nan)
     variance = np.full(n_c, np.nan)
-    mean[report.reachable] = raw[0]
+    mean[reachable] = et1
     # Tiny negatives from solver tolerance are clamped to zero.
-    variance[report.reachable] = np.maximum(raw[1] - raw[0] ** 2, 0.0)
-    return MomentTable(complement, mean, variance, report.reachable, raw, stats)
+    variance[reachable] = np.maximum(et2 - et1 ** 2, 0.0)
+    return MomentTable(seeds.complement, mean, variance, reachable, stats)
 
 
 def simulate_hitting_times(graph: Graph, seeds: SeedSet, start_vertex: int,

@@ -13,24 +13,16 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import Graph, NonSeedIndex
+from .graph import Graph
 
 
 @dataclass
 class CgConfig:
     rel_tol: float = 1e-10
-    max_iters: int | None = None  # default: max(1000, 10 * n)
 
     def __post_init__(self):
         if not (0.0 < self.rel_tol < 1.0):
             raise ValueError("rel_tol must lie in (0, 1)")
-        if self.max_iters is not None and self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-
-    def resolve_max_iters(self, n: int) -> int:
-        if self.max_iters is not None:
-            return self.max_iters
-        return max(1000, 10 * n)
 
 
 @dataclass
@@ -48,21 +40,20 @@ class NonSpdError(HitmixError):
     """CG recurrences produced NaN/Inf: the operator is not positive definite.
 
     This typically means the vertex subset contains vertices with no path to
-    the seed set; filter with ReachabilityReport before solving.
+    the seed set; filter with reachable_from before solving.
     """
 
 
 class RestrictedOperator:
     """Matrix action of I - A_hat over a vertex subset, built once as CSR."""
 
-    def __init__(self, graph: Graph, index: NonSeedIndex):
-        vertices = index.local_to_global
+    def __init__(self, graph: Graph, vertices: np.ndarray):
         deg = graph.degrees[vertices].astype(np.float64)
         if vertices.size and deg.min() <= 0:
             raise ValueError("subset contains an isolated vertex (degree 0); "
                              "filter unreachable vertices first")
         self.inv_sqrt_deg = 1.0 / np.sqrt(deg)
-        a_sub = graph.restricted_adjacency(vertices).astype(np.float64)
+        a_sub = graph.adjacency[vertices][:, vertices].astype(np.float64)
         scale = sp.diags(self.inv_sqrt_deg)
         self._matrix = (sp.identity(vertices.size, format="csr")
                         - scale @ a_sub @ scale).tocsr()
@@ -114,7 +105,7 @@ def conjugate_gradient(op: RestrictedOperator, b: np.ndarray,
     r = b.copy()
     p = r.copy()
     rr = float(r @ r)
-    max_iters = cfg.resolve_max_iters(op.n)
+    max_iters = max(1000, 10 * op.n)
 
     for k in range(1, max_iters + 1):
         hp = op.apply(p)
@@ -125,7 +116,7 @@ def conjugate_gradient(op: RestrictedOperator, b: np.ndarray,
             raise NonSpdError(
                 "conjugate gradient broke down (non-positive or non-finite "
                 "curvature); the operator is not SPD. Filter unreachable "
-                "vertices using ReachabilityReport")
+                "vertices using reachable_from")
         alpha = rr / php
         x += alpha * p
         r -= alpha * hp

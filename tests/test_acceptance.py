@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from hitmix.graph import SeedSet, build_nonseed_index, load_edge_list, reachable_from
+from hitmix.graph import SeedSet, load_edge_list, reachable_from
 from hitmix.mixture import HitmixConfig, lognormal_mom
 from hitmix.moments import compute_moments, simulate_hitting_times
 from hitmix.sbm import (SbmConfig, SimulationSpec, run_simulation, sample_sbm,
@@ -31,7 +31,7 @@ def random_connected_er(n, p, rng):
     while True:
         g, _ = sample_sbm(SbmConfig(1, n, p, 0.0), rng)
         seeds = SeedSet.from_members(rng.choice(n, size=10, replace=False), n)
-        if g.degrees.min() > 0 and reachable_from(g, seeds).reachable.all():
+        if g.degrees.min() > 0 and reachable_from(g, seeds).all():
             return g, seeds
 
 

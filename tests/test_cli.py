@@ -107,6 +107,33 @@ def test_sbm_sim_smoke(tmp_path):
     assert (out / "runs.csv").read_bytes() == (out2 / "runs.csv").read_bytes()
 
 
+@pytest.mark.parametrize("text, message", [
+    ("sweep = p_in\nvalues = 0.3\nblock_sise = 30\n", "unknown key 'block_sise'"),
+    ("values = 0.3\n", "missing key 'sweep'"),
+], ids=["unknown", "missing"])
+def test_sbm_sim_config_keys_checked(tmp_path, caplog, text, message):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(text)
+    rc = run(["sbm-sim", "--config", str(cfg), "--out", str(tmp_path / "r")])
+    assert rc == 2
+    assert [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR] \
+        == [f"{cfg}: {message}"]
+    assert not (tmp_path / "r").exists()
+
+
+def test_expand_zero_em_iterations_is_input_error(workdir):
+    rc = run(["expand", "--graph", str(workdir / "g.txt"), "--seeds",
+              str(workdir / "s.txt"), "--out", str(workdir / "o.tsv"),
+              "--em-max-iters", "0"])
+    assert rc == 2
+    assert not (workdir / "o.tsv").exists()
+
+
+def test_public_names_resolve():
+    missing = [name for name in hitmix.__all__ if not hasattr(hitmix, name)]
+    assert missing == []
+
+
 def test_missing_file_is_runtime_error(tmp_path):
     rc = run(["moments", "--graph", str(tmp_path / "nope.txt"),
               "--seeds", str(tmp_path / "nope2.txt"),

@@ -4,9 +4,8 @@ import random
 import numpy as np
 import pytest
 
-from hitmix.graph import (EdgeListParseError, Graph, NonSeedIndex, SeedSet,
-                          build_nonseed_index, load_edge_list, load_seed_file,
-                          reachable_from)
+from hitmix.graph import (EdgeListParseError, Graph, SeedSet, load_edge_list,
+                          load_seed_file, reachable_from)
 
 
 def load(text):
@@ -51,6 +50,21 @@ class TestLoadEdgeList:
         with pytest.raises(EdgeListParseError):
             load("# only comments\n")
 
+    def test_huge_id_rejected_before_allocation(self, monkeypatch):
+        # One edge to id 10^12 would imply 10^12 vertices; the parse must fail
+        # before any O(n) array exists.
+        def no_build(*args):
+            raise AssertionError("Graph.from_edges called")
+        monkeypatch.setattr(Graph, "from_edges", no_build)
+        with pytest.raises(EdgeListParseError, match="relabel"):
+            load("0 1\n1 1000000000000")
+
+    def test_sparse_id_allowance_boundary(self):
+        # Two edges allow n = 10 * 2 + 1000 vertices and no more.
+        assert load("0 1\n0 1019").n_vertices == 1020
+        with pytest.raises(EdgeListParseError, match="1021 vertices for 2 edges"):
+            load("0 1\n0 1020")
+
     def test_shuffled_lines_same_graph(self):
         lines = ["0 1", "1 2", "2 3", "0 3", "1 3", "0 1"]
         g1 = load("\n".join(lines))
@@ -94,42 +108,23 @@ class TestSeedSet:
             SeedSet.from_members([5], 3)
 
 
-class TestNonSeedIndex:
-    def test_mapping_example(self):
-        g = load("0 1\n1 2\n2 3")
-        idx = build_nonseed_index(g, SeedSet.from_members([1], 4))
-        assert idx.local_to_global.tolist() == [0, 2, 3]
-        assert idx.global_to_local[[0, 2, 3]].tolist() == [0, 1, 2]
-        assert idx.global_to_local[1] == -1
-
-    def test_round_trip(self):
-        idx = NonSeedIndex.from_vertices(10, np.array([0, 3, 7, 9]))
-        for v in [0, 3, 7, 9]:
-            assert idx.local_to_global[idx.global_to_local[v]] == v
-
-    def test_single_nonseed(self):
-        g = load("0 1\n1 2")
-        idx = build_nonseed_index(g, SeedSet.from_members([0, 2], 3))
-        assert idx.local_to_global.tolist() == [1]
-
-
 class TestReachability:
     def test_connected_path(self):
         g = load("0 1\n1 2")
-        rep = reachable_from(g, SeedSet.from_members([2], 3))
-        assert rep.reachable.all() and rep.unreachable_count == 0
+        mask = reachable_from(g, SeedSet.from_members([2], 3))
+        assert mask.all()
+        assert not mask.flags.writeable
 
     def test_two_components(self):
         g = load("0 1\n2 3")
-        rep = reachable_from(g, SeedSet.from_members([0], 4))
+        mask = reachable_from(g, SeedSet.from_members([0], 4))
         # complement [1, 2, 3]: only vertex 1 reaches the seed
-        assert rep.reachable.tolist() == [True, False, False]
-        assert rep.unreachable_count == 2
+        assert mask.tolist() == [True, False, False]
 
     def test_whole_component_seeded(self):
         g = load("0 1\n2 3")
-        rep = reachable_from(g, SeedSet.from_members([0, 1], 4))
-        assert rep.reachable.tolist() == [False, False]
+        mask = reachable_from(g, SeedSet.from_members([0, 1], 4))
+        assert mask.tolist() == [False, False]
 
 
 def test_load_seed_file():

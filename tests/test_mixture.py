@@ -24,7 +24,7 @@ def moment_table(vertices, means, variances):
     means = np.asarray(means, dtype=float)
     variances = np.asarray(variances, dtype=float)
     return MomentTable(vertices, means, variances,
-                       np.ones(vertices.size, dtype=bool), [], [])
+                       np.ones(vertices.size, dtype=bool), [])
 
 
 def statistics_of(data):

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from hitmix.graph import Graph, SeedSet, load_edge_list, reachable_from
-from hitmix.moments import (compute_moments, moment_rhs, simulate_hitting_times)
+from hitmix.moments import compute_moments, simulate_hitting_times
 from hitmix.sbm import SbmConfig, sample_sbm
 from hitmix.solver import CgConfig
 
@@ -24,49 +24,19 @@ def random_connected(n, p, seed):
     while True:
         g, _ = sample_sbm(SbmConfig(1, n, p, 0.0), rng)
         if g.degrees.min() > 0 and reachable_from(
-                g, SeedSet.from_members([0], n)).reachable.all():
+                g, SeedSet.from_members([0], n)).all():
             return g
 
 
-def dense_moments(graph, seeds, order=2):
+def dense_moments(graph, seeds):
     """Direct dense solve of the first-step moment systems (oracle)."""
-    from math import comb
     idx = np.asarray(seeds.complement)
     a = graph.adjacency.toarray().astype(float)
     p = a / graph.degrees[:, None]
     p_sub = p[np.ix_(idx, idx)]
     system = np.eye(idx.size) - p_sub
-    out = []
-    for m in range(1, order + 1):
-        b = np.ones(idx.size)
-        for s in range(1, m):
-            b += comb(m, s) * (p_sub @ out[s - 1])
-        out.append(np.linalg.solve(system, b))
-    return out
-
-
-class TestMomentRhs:
-    def test_order_one_is_ones(self):
-        assert moment_rhs(1, [], [], 2).tolist() == [1.0, 1.0]
-
-    def test_order_two_hand_value(self):
-        # path3 seeded at 2: E T = [4, 3], b_1 = 1, b_2 = 1 + 2 (E T - b_1).
-        b2 = moment_rhs(2, [np.array([4.0, 3.0])], [np.ones(2)], 2)
-        assert np.allclose(b2, [7.0, 5.0], atol=1e-14)
-
-    def test_zero_lower_moments(self):
-        b2 = moment_rhs(2, [np.zeros(2)], [np.zeros(2)], 2)
-        assert b2.tolist() == [1.0, 1.0]
-
-    def test_invalid_order(self):
-        with pytest.raises(ValueError):
-            moment_rhs(0, [], [], 2)
-        with pytest.raises(ValueError):
-            moment_rhs(2, [], [], 2)
-        with pytest.raises(ValueError):
-            moment_rhs(2, [np.ones(2)], [], 2)
-        with pytest.raises(ValueError):
-            moment_rhs(2, [np.ones(3)], [np.ones(3)], 2)
+    et1 = np.linalg.solve(system, np.ones(idx.size))
+    return et1, np.linalg.solve(system, 1.0 + 2.0 * (p_sub @ et1))
 
 
 class TestComputeMoments:
@@ -115,26 +85,22 @@ class TestComputeMoments:
         seeds = SeedSet.from_members(range(5), 80)
         t = compute_moments(g, seeds)
         # direct check of mu_i = 1 + sum_j P_ij mu_j
-        p_sub = g.restricted_adjacency(seeds.complement).astype(float)
-        inv_d = 1.0 / g.degrees[seeds.complement]
+        idx = seeds.complement
+        p_sub = g.adjacency[idx][:, idx].astype(float)
+        inv_d = 1.0 / g.degrees[idx]
         p_mean = inv_d * (p_sub @ t.mean)
         resid = t.mean - (1.0 + p_mean)
         assert np.abs(resid).max() <= 1e-8
-        # the graph-free right-hand side equals the first-step one, 1 + 2 P E T
-        rhs = moment_rhs(2, [t.mean], [np.ones(t.mean.size)], t.mean.size)
-        assert np.abs(rhs - (1.0 + 2.0 * p_mean)).max() <= 1e-8 * np.abs(rhs).max()
+        # and of E T^2 = 1 + 2 P E T + P E T^2, solved with the graph-free
+        # right-hand side 1 + 2 (E T - 1)
+        et2 = t.variance + t.mean ** 2
+        resid2 = et2 - (1.0 + 2.0 * p_mean + inv_d * (p_sub @ et2))
+        assert np.abs(resid2).max() <= 1e-8 * et2.max()
 
     def test_mean_at_least_one(self):
         g = random_connected(60, 0.15, 2)
         t = compute_moments(g, SeedSet.from_members(range(10), 60))
         assert (t.mean >= 1.0 - 1e-10).all()
-
-    def test_higher_order_supported(self):
-        g, seeds = path3()
-        t = compute_moments(g, seeds, order=3)
-        assert len(t.raw_moments) == 3
-        for raw, dense in zip(t.raw_moments, dense_moments(g, seeds, order=3)):
-            assert np.allclose(raw, dense, rtol=1e-10)
 
 
 def path_graph(n):
@@ -158,7 +124,7 @@ def splu_moments(graph, seeds):
     """Mean and variance from sparse LU solves of the first-step systems."""
     idx = seeds.complement
     p_sub = (sp.diags(1.0 / graph.degrees[idx])
-             @ graph.restricted_adjacency(idx).astype(float))
+             @ graph.adjacency[idx][:, idx].astype(float))
     lu = splu(sp.csc_matrix(sp.identity(idx.size) - p_sub))
     m1 = lu.solve(np.ones(idx.size))
     m2 = lu.solve(1.0 + 2.0 * (p_sub @ m1))

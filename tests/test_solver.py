@@ -3,8 +3,8 @@ import io
 import numpy as np
 import pytest
 
-from hitmix.graph import (Graph, NonSeedIndex, SeedSet, build_nonseed_index,
-                          load_edge_list)
+import hitmix.solver
+from hitmix.graph import Graph, SeedSet, load_edge_list, reachable_from
 from hitmix.moments import compute_moments
 from hitmix.sbm import SbmConfig, sample_sbm
 from hitmix.solver import (CgConfig, NonSpdError, RestrictedOperator,
@@ -13,18 +13,16 @@ from hitmix.solver import (CgConfig, NonSpdError, RestrictedOperator,
 
 def path3():
     g = load_edge_list(io.StringIO("0 1\n1 2"))
-    seeds = SeedSet.from_members([2], 3)
-    return g, build_nonseed_index(g, seeds)
+    return g, SeedSet.from_members([2], 3).complement
 
 
 def random_connected(n, p, seed):
     """ER graph resampled until connected (single-block SBM)."""
     rng = np.random.default_rng(seed)
-    from hitmix.graph import reachable_from
     while True:
         g, _ = sample_sbm(SbmConfig(1, n, p, 0.0), rng)
         if g.degrees.min() > 0 and reachable_from(
-                g, SeedSet.from_members([0], n)).reachable.all():
+                g, SeedSet.from_members([0], n)).all():
             return g
 
 
@@ -35,35 +33,33 @@ def dense_operator(op):
 
 class TestApply:
     def test_path3_hand_value(self):
-        g, idx = path3()
-        op = RestrictedOperator(g, idx)
+        g, vertices = path3()
+        op = RestrictedOperator(g, vertices)
         y = op.apply(np.array([1.0, 0.0]))
         assert np.allclose(y, [1.0, -1.0 / np.sqrt(2)], atol=1e-15)
 
     def test_identity_when_no_internal_edges(self):
         # star: center 0 seeded, leaves pairwise non-adjacent
         g = load_edge_list(io.StringIO("0 1\n0 2\n0 3"))
-        idx = build_nonseed_index(g, SeedSet.from_members([0], 4))
-        op = RestrictedOperator(g, idx)
+        op = RestrictedOperator(g, SeedSet.from_members([0], 4).complement)
         x = np.array([3.0, -1.0, 2.0])
         assert np.array_equal(op.apply(x), x)
 
     def test_zero_maps_to_zero(self):
-        g, idx = path3()
-        op = RestrictedOperator(g, idx)
+        g, vertices = path3()
+        op = RestrictedOperator(g, vertices)
         assert np.array_equal(op.apply(np.zeros(2)), np.zeros(2))
 
     def test_dimension_mismatch(self):
-        g, idx = path3()
-        op = RestrictedOperator(g, idx)
+        g, vertices = path3()
+        op = RestrictedOperator(g, vertices)
         with pytest.raises(ValueError):
             op.apply(np.zeros(3))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_symmetry_and_positive_definiteness(self, seed):
         g = random_connected(60, 0.1, seed)
-        idx = build_nonseed_index(g, SeedSet.from_members(range(5), 60))
-        op = RestrictedOperator(g, idx)
+        op = RestrictedOperator(g, SeedSet.from_members(range(5), 60).complement)
         rng = np.random.default_rng(seed + 100)
         for _ in range(5):
             x = rng.standard_normal(op.n)
@@ -76,23 +72,22 @@ class TestApply:
 class TestConjugateGradient:
     def test_identity_operator_one_iteration(self):
         g = load_edge_list(io.StringIO("0 1\n0 2\n0 3"))
-        idx = build_nonseed_index(g, SeedSet.from_members([0], 4))
-        op = RestrictedOperator(g, idx)
+        op = RestrictedOperator(g, SeedSet.from_members([0], 4).complement)
         b = np.array([1.0, 2.0, -3.0])
         x, stats = conjugate_gradient(op, b)
         assert stats.converged and stats.iterations <= 1
         assert np.allclose(x, b, rtol=1e-12)
 
     def test_path3_hand_solution(self):
-        g, idx = path3()
-        op = RestrictedOperator(g, idx)
+        g, vertices = path3()
+        op = RestrictedOperator(g, vertices)
         x, stats = conjugate_gradient(op, np.array([1.0, np.sqrt(2)]))
         assert stats.converged
         assert np.allclose(x, [4.0, 3.0 * np.sqrt(2)], rtol=1e-9)
 
     def test_zero_rhs(self):
-        g, idx = path3()
-        op = RestrictedOperator(g, idx)
+        g, vertices = path3()
+        op = RestrictedOperator(g, vertices)
         x, stats = conjugate_gradient(op, np.zeros(2))
         assert np.array_equal(x, np.zeros(2))
         assert stats.iterations == 0 and stats.converged
@@ -100,9 +95,7 @@ class TestConjugateGradient:
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_dense_solve(self, seed):
         g = random_connected(120, 0.08, seed)
-        seeds = SeedSet.from_members(range(8), 120)
-        idx = build_nonseed_index(g, seeds)
-        op = RestrictedOperator(g, idx)
+        op = RestrictedOperator(g, SeedSet.from_members(range(8), 120).complement)
         rng = np.random.default_rng(seed)
         b = rng.standard_normal(op.n)
         x, stats = conjugate_gradient(op, b)
@@ -112,8 +105,7 @@ class TestConjugateGradient:
 
     def test_monotone_residual(self):
         g = random_connected(80, 0.1, 3)
-        idx = build_nonseed_index(g, SeedSet.from_members(range(4), 80))
-        op = RestrictedOperator(g, idx)
+        op = RestrictedOperator(g, SeedSet.from_members(range(4), 80).complement)
         b = np.ones(op.n)
         _, stats = conjugate_gradient(op, b)
         assert stats.final_rel_residual <= 1.0
@@ -132,7 +124,7 @@ class TestConjugateGradient:
         # 1e-10 in double precision; the solve stops at the floor instead.
         n = 2000
         g = Graph.from_edges(n, np.arange(n - 1), np.arange(1, n))
-        op = RestrictedOperator(g, build_nonseed_index(g, SeedSet.from_members([0], n)))
+        op = RestrictedOperator(g, SeedSet.from_members([0], n).complement)
         b = np.sqrt(g.degrees[1:].astype(float))
         x, stats = conjugate_gradient(op, b)
         true_rel = np.linalg.norm(b - op.apply(x)) / np.linalg.norm(b)
@@ -145,10 +137,23 @@ class TestConjugateGradient:
     def test_unreachable_vertices_raise(self):
         # two components, seed only in the first: restricted block is singular
         g = load_edge_list(io.StringIO("0 1\n2 3\n3 4\n2 4"))
-        idx = build_nonseed_index(g, SeedSet.from_members([0], 5))
-        op = RestrictedOperator(g, idx)
+        op = RestrictedOperator(g, SeedSet.from_members([0], 5).complement)
         with pytest.raises(NonSpdError):
             conjugate_gradient(op, np.ones(op.n))
+
+    @pytest.mark.parametrize("n, budget", [(100, 1000), (200, 1990)])
+    def test_stops_at_iteration_budget(self, n, budget, monkeypatch):
+        # With the stop test never met, CG runs max(1000, 10 (n - 1)) iterations
+        # and reports its true residual. On path3 the recursive residual
+        # underflows to zero within 40 iterations and CG breaks down instead.
+        monkeypatch.setattr(hitmix.solver, "_done", lambda *args: False)
+        g = Graph.from_edges(n, np.arange(n - 1), np.arange(1, n))
+        op = RestrictedOperator(g, SeedSet.from_members([0], n).complement)
+        b = np.ones(op.n)
+        x, stats = conjugate_gradient(op, b)
+        assert stats.iterations == budget and not stats.converged
+        true_rel = np.linalg.norm(b - op.apply(x)) / np.linalg.norm(b)
+        assert stats.final_rel_residual == true_rel
 
 
 class TestCgConfig:
@@ -157,7 +162,3 @@ class TestCgConfig:
             CgConfig(rel_tol=0.0)
         with pytest.raises(ValueError):
             CgConfig(rel_tol=1.5)
-
-    def test_default_max_iters_floor(self):
-        assert CgConfig().resolve_max_iters(10) == 1000
-        assert CgConfig().resolve_max_iters(500) == 5000

@@ -3,12 +3,11 @@ mixture model, with an SBM Monte Carlo benchmark harness."""
 
 from .graph import (EdgeListParseError, Graph, SeedSet, load_edge_list,
                     load_seed_file, reachable_from)
-from .metrics import adjusted_rand_index, percentiles, precision_recall_f1
+from .metrics import adjusted_rand_index, precision_recall_f1
 from .mixture import (EmCollapseError, HitmixConfig, LognormalParams,
                       MembershipResult, MixtureFit, VertexSamples, bic,
                       draw_pseudo_samples, em_fit, hitmix, lognormal_mom)
-from .moments import (MomentConvergenceError, MomentTable, compute_moments,
-                      simulate_hitting_times)
+from .moments import MomentConvergenceError, MomentTable, compute_moments
 from .sbm import (McSummary, SbmConfig, SimulationSpec, run_simulation,
                   sample_hitting_set, sample_sbm)
 from .solver import (CgConfig, CgStats, HitmixError, NonSpdError,
@@ -17,12 +16,11 @@ from .solver import (CgConfig, CgStats, HitmixError, NonSpdError,
 __all__ = [
     "EdgeListParseError", "Graph", "SeedSet", "load_edge_list", "load_seed_file",
     "reachable_from",
-    "adjusted_rand_index", "percentiles", "precision_recall_f1",
+    "adjusted_rand_index", "precision_recall_f1",
     "EmCollapseError", "HitmixConfig", "LognormalParams", "MembershipResult",
     "MixtureFit", "VertexSamples", "bic", "draw_pseudo_samples", "em_fit", "hitmix",
     "lognormal_mom",
     "MomentConvergenceError", "MomentTable", "compute_moments",
-    "simulate_hitting_times",
     "McSummary", "SbmConfig", "SimulationSpec", "run_simulation",
     "sample_hitting_set", "sample_sbm",
     "CgConfig", "CgStats", "HitmixError", "NonSpdError", "RestrictedOperator",

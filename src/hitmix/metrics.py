@@ -1,4 +1,4 @@
-"""Clustering and detection metrics: ARI, precision/recall/F1, percentiles."""
+"""Clustering and detection metrics: ARI and precision/recall/F1."""
 
 from __future__ import annotations
 
@@ -61,13 +61,3 @@ def precision_recall_f1(predicted: Iterable[int], truth: Iterable[int]
           if precision + recall > 0 else 0.0)
     return precision, recall, f1
 
-
-def percentiles(values: Sequence[float], probs: Sequence[float]) -> np.ndarray:
-    """Linear-interpolation (type-7) quantiles of a non-empty sample."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.size == 0:
-        raise ValueError("values must be non-empty")
-    probs = np.asarray(probs, dtype=np.float64)
-    if probs.size and (probs.min() < 0 or probs.max() > 1):
-        raise ValueError("probs must lie in [0, 1]")
-    return np.quantile(values, probs, method="linear")

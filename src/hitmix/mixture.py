@@ -38,7 +38,6 @@ class LognormalParams:
 class VertexSamples:
     """Sufficient statistics of m positive pseudo-samples t_i1..t_im per vertex."""
 
-    vertices: np.ndarray   # global ids
     s1: np.ndarray         # sum_j log t_ij
     s2: np.ndarray         # sum_j (log t_ij)^2
     m: int
@@ -134,7 +133,7 @@ def draw_pseudo_samples(moments: MomentTable, m: int, rng_seed: int) -> VertexSa
     chi2 = 2.0 * np.random.default_rng([rng_seed, 1]).standard_gamma((m - 1) / 2.0, size)[ids]
     s1 = m * params.mu + np.sqrt(params.sigma2) * z_sum
     s2 = s1 ** 2 / m + params.sigma2 * chi2
-    return VertexSamples(ids.copy(), s1, s2, m)
+    return VertexSamples(s1, s2, m)
 
 
 def _log_normal_mle(sums: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:

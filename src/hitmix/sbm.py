@@ -9,8 +9,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .graph import Graph, SeedSet
-from .metrics import adjusted_rand_index, percentiles, precision_recall_f1
+from .metrics import adjusted_rand_index, precision_recall_f1
 from .mixture import HitmixConfig, hitmix
+from .solver import HitmixError
 
 log = logging.getLogger(__name__)
 
@@ -58,24 +59,10 @@ def _sample_bernoulli_indices(n_pairs: int, p: float, rng: np.random.Generator
 
 def _triangle_pairs(k: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
     """Invert the row-major linear index over pairs i < j within 0..s-1."""
-    kf = k.astype(np.float64)
-    i = np.floor(((2 * s - 1) - np.sqrt((2 * s - 1) ** 2 - 8 * kf)) / 2).astype(np.int64)
-    offset = i * (2 * s - i - 1) // 2
-    # Float inversion can be off by one near boundaries.
-    too_big = offset > k
-    while too_big.any():
-        i[too_big] -= 1
-        offset = i * (2 * s - i - 1) // 2
-        too_big = offset > k
-    next_off = (i + 1) * (2 * s - i - 2) // 2
-    too_small = next_off <= k
-    while too_small.any():
-        i[too_small] += 1
-        offset = i * (2 * s - i - 1) // 2
-        next_off = (i + 1) * (2 * s - i - 2) // 2
-        too_small = next_off <= k
-    j = k - offset + i + 1
-    return i, j
+    rows = np.arange(s, dtype=np.int64)
+    starts = rows * (2 * s - rows - 1) // 2   # index of pair (i, i + 1)
+    i = np.searchsorted(starts, k, side="right") - 1
+    return i, k - starts[i] + i + 1
 
 
 def sample_sbm(cfg: SbmConfig, rng: np.random.Generator
@@ -198,8 +185,9 @@ def _single_run(spec: SimulationSpec, cond_idx: int, run_idx: int) -> RunRecord:
                      rng_seed=int(rng.integers(0, 2 ** 31 - 1)))
     try:
         result = hitmix(graph, seeds, hm_cfg)
-    except Exception:
-        log.exception("hitmix failed (condition=%s run=%d)", value, run_idx)
+    except (HitmixError, ValueError) as exc:
+        log.error("hitmix failed (condition=%s run=%d): %s: %s",
+                  value, run_idx, type(exc).__name__, exc)
         return RunRecord(value, run_idx, np.nan, np.nan, True, 0, np.nan, np.nan)
 
     non_seed = result.vertices
@@ -243,8 +231,8 @@ def run_simulation(spec: SimulationSpec) -> McSummary:
         if ok:
             aris = np.array([r.ari for r in ok])
             f1s = np.array([r.f1 for r in ok])
-            a5, a95 = percentiles(aris, [0.05, 0.95])
-            f5, f95 = percentiles(f1s, [0.05, 0.95])
+            a5, a95 = np.quantile(aris, [0.05, 0.95], method="linear")
+            f5, f95 = np.quantile(f1s, [0.05, 0.95], method="linear")
             summary = ConditionSummary(value, float(aris.mean()), float(a5), float(a95),
                                        float(f1s.mean()), float(f5), float(f95),
                                        len(rows) - len(ok))

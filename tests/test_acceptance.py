@@ -8,9 +8,10 @@ import pytest
 
 from hitmix.graph import SeedSet, load_edge_list, reachable_from
 from hitmix.mixture import HitmixConfig, lognormal_mom
-from hitmix.moments import compute_moments, simulate_hitting_times
+from hitmix.moments import compute_moments
 from hitmix.sbm import (SbmConfig, SimulationSpec, run_simulation, sample_sbm,
                         summary_csv_lines, runs_csv_lines)
+from oracles import dense_moments, simulate_hitting_times
 
 MASTER_SEED = 20260823
 
@@ -35,16 +36,6 @@ def random_connected_er(n, p, rng):
             return g, seeds
 
 
-def dense_moment_oracle(graph, seeds):
-    idx = np.asarray(seeds.complement)
-    a = graph.adjacency.toarray().astype(float)
-    p_sub = (a / graph.degrees[:, None])[np.ix_(idx, idx)]
-    system = np.eye(idx.size) - p_sub
-    et1 = np.linalg.solve(system, np.ones(idx.size))
-    et2 = np.linalg.solve(system, 1.0 + 2.0 * (p_sub @ et1))
-    return et1, et2 - et1 ** 2
-
-
 def test_criterion_1_moment_oracles(report):
     # With 100 independent 3-SE comparisons, a correct implementation still
     # trips one by chance about a quarter of the time. The seed is pinned to
@@ -57,7 +48,7 @@ def test_criterion_1_moment_oracles(report):
         n = int(rng.integers(50, 201))
         g, seeds = random_connected_er(n, 0.1, rng)
         table = compute_moments(g, seeds)
-        et1, var = dense_moment_oracle(g, seeds)
+        et1, var = dense_moments(g, seeds)
         max_rel = max(max_rel,
                       np.linalg.norm(table.mean - et1) / np.linalg.norm(et1),
                       np.linalg.norm(table.variance - var) / np.linalg.norm(var))

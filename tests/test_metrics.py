@@ -3,7 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from hitmix.metrics import adjusted_rand_index, percentiles, precision_recall_f1
+from hitmix.metrics import adjusted_rand_index, precision_recall_f1
 
 
 def brute_force_ari(a, b):
@@ -102,27 +102,3 @@ class TestF1:
         assert precision_recall_f1({1}, {2})[2] == 0.0
         assert precision_recall_f1({1, 2}, {2, 3})[2] > 0.0
 
-
-class TestPercentiles:
-    def test_endpoints_and_median(self):
-        out = percentiles([1, 2, 3, 4, 5], [0.0, 0.5, 1.0])
-        assert out.tolist() == [1.0, 3.0, 5.0]
-
-    def test_single_value(self):
-        assert percentiles([7.0], [0.0, 0.3, 1.0]).tolist() == [7.0, 7.0, 7.0]
-
-    def test_type7_interpolation(self):
-        assert percentiles([0.0, 10.0], [0.05])[0] == pytest.approx(0.5)
-
-    def test_monotone_in_probs(self):
-        rng = np.random.default_rng(0)
-        vals = rng.standard_normal(50)
-        probs = np.linspace(0, 1, 11)
-        out = percentiles(vals, probs)
-        assert (np.diff(out) >= 0).all()
-
-    def test_empty_errors(self):
-        with pytest.raises(ValueError):
-            percentiles([], [0.5])
-        with pytest.raises(ValueError):
-            percentiles([1.0], [1.5])

@@ -30,8 +30,7 @@ def moment_table(vertices, means, variances):
 def statistics_of(data):
     """VertexSamples of an explicit (n, m) matrix of positive samples."""
     logt = np.log(data)
-    return VertexSamples(np.arange(data.shape[0]), logt.sum(axis=1),
-                         (logt ** 2).sum(axis=1), data.shape[1])
+    return VertexSamples(logt.sum(axis=1), (logt ** 2).sum(axis=1), data.shape[1])
 
 
 def synthetic_samples(log_means, sigma2, n_per_group, m, seed):

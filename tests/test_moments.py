@@ -2,41 +2,15 @@ import io
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
-from hitmix.graph import Graph, SeedSet, load_edge_list, reachable_from
-from hitmix.moments import compute_moments, simulate_hitting_times
-from hitmix.sbm import SbmConfig, sample_sbm
-from hitmix.solver import CgConfig
+from hitmix.graph import Graph, SeedSet, load_edge_list
+from hitmix.moments import compute_moments
+from oracles import (dense_moments, path3, random_connected,
+                     simulate_hitting_times, splu_moments)
 
 
 def load(text):
     return load_edge_list(io.StringIO(text))
-
-
-def path3():
-    return load("0 1\n1 2"), SeedSet.from_members([2], 3)
-
-
-def random_connected(n, p, seed):
-    rng = np.random.default_rng(seed)
-    while True:
-        g, _ = sample_sbm(SbmConfig(1, n, p, 0.0), rng)
-        if g.degrees.min() > 0 and reachable_from(
-                g, SeedSet.from_members([0], n)).all():
-            return g
-
-
-def dense_moments(graph, seeds):
-    """Direct dense solve of the first-step moment systems (oracle)."""
-    idx = np.asarray(seeds.complement)
-    a = graph.adjacency.toarray().astype(float)
-    p = a / graph.degrees[:, None]
-    p_sub = p[np.ix_(idx, idx)]
-    system = np.eye(idx.size) - p_sub
-    et1 = np.linalg.solve(system, np.ones(idx.size))
-    return et1, np.linalg.solve(system, 1.0 + 2.0 * (p_sub @ et1))
 
 
 class TestComputeMoments:
@@ -75,9 +49,8 @@ class TestComputeMoments:
         g = random_connected(100, 0.08, seed)
         seeds = SeedSet.from_members(range(6), 100)
         t = compute_moments(g, seeds)
-        et1, et2 = dense_moments(g, seeds)
+        et1, var = dense_moments(g, seeds)
         assert np.linalg.norm(t.mean - et1) <= 1e-8 * np.linalg.norm(et1)
-        var = et2 - et1 ** 2
         assert np.linalg.norm(t.variance - var) <= 1e-8 * np.linalg.norm(var)
 
     def test_first_step_consistency(self):
@@ -118,17 +91,6 @@ def barbell_graph(k, length):
     u = np.concatenate([iu, bridge[:-1], iu + k + length])
     v = np.concatenate([ju, bridge[1:], ju + k + length])
     return Graph.from_edges(2 * k + length, u, v)
-
-
-def splu_moments(graph, seeds):
-    """Mean and variance from sparse LU solves of the first-step systems."""
-    idx = seeds.complement
-    p_sub = (sp.diags(1.0 / graph.degrees[idx])
-             @ graph.adjacency[idx][:, idx].astype(float))
-    lu = splu(sp.csc_matrix(sp.identity(idx.size) - p_sub))
-    m1 = lu.solve(np.ones(idx.size))
-    m2 = lu.solve(1.0 + 2.0 * (p_sub @ m1))
-    return m1, m2 - m1 ** 2
 
 
 def max_rel_err(x, ref):

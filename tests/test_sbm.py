@@ -1,7 +1,11 @@
+from unittest.mock import Mock
+
 import numpy as np
 import pytest
 
-from hitmix.sbm import (SbmConfig, SimulationSpec, run_simulation,
+import hitmix.sbm
+from hitmix.mixture import EmCollapseError
+from hitmix.sbm import (SbmConfig, SimulationSpec, _triangle_pairs, run_simulation,
                         runs_csv_lines, sample_hitting_set, sample_sbm,
                         summary_csv_lines)
 
@@ -54,6 +58,12 @@ class TestSampler:
         with pytest.raises(ValueError):
             SbmConfig(2, 10, 1.2, 0.0)
 
+    def test_triangle_pairs_decode_every_index(self):
+        for s in range(1, 41):
+            i, j = _triangle_pairs(np.arange(s * (s - 1) // 2, dtype=np.int64), s)
+            iu, ju = np.triu_indices(s, 1)
+            assert np.array_equal(i, iu) and np.array_equal(j, ju)
+
 
 class TestHittingSet:
     def test_full_block(self):
@@ -95,6 +105,11 @@ class TestRunSimulation:
         for c in s.conditions:
             assert c.ari_p5 <= c.ari_mean + 1e-12
             assert c.ari_mean <= c.ari_p95 + 1e-12
+            ok = [r for r in s.runs if r.condition == c.value and not r.failed]
+            for name in ("ari", "f1"):
+                want = np.quantile([getattr(r, name) for r in ok], [0.05, 0.95],
+                                   method="linear")
+                assert [getattr(c, name + "_p5"), getattr(c, name + "_p95")] == want.tolist()
         assert len(s.runs) == 8
 
     def test_seeded_determinism(self):
@@ -113,6 +128,19 @@ class TestRunSimulation:
         spec = small_spec(sweep="p_in", values=[0.0], p_out=0.0, mc_samples=2)
         s = run_simulation(spec)
         assert s.conditions[0].failures == 2
+
+    def test_only_numerical_and_input_errors_become_failures(self, monkeypatch, caplog):
+        # workers=1: the patched name is not seen by worker processes
+        spec = small_spec(values=[0.3], mc_samples=2, workers=1)
+        monkeypatch.setattr(hitmix.sbm, "hitmix", Mock(side_effect=TypeError("bug")))
+        with pytest.raises(TypeError):
+            run_simulation(spec)
+        monkeypatch.setattr(hitmix.sbm, "hitmix",
+                            Mock(side_effect=EmCollapseError("collapsed")))
+        s = run_simulation(spec)
+        assert s.conditions[0].failures == 2 and all(r.failed for r in s.runs)
+        assert "EmCollapseError: collapsed" in caplog.text
+        assert "Traceback" not in caplog.text
 
     def test_scale_p_out_rule(self):
         spec = small_spec(sweep="n_blocks", values=[3], p_out=0.05,

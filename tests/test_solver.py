@@ -4,26 +4,11 @@ import numpy as np
 import pytest
 
 import hitmix.solver
-from hitmix.graph import Graph, SeedSet, load_edge_list, reachable_from
+from hitmix.graph import Graph, SeedSet, load_edge_list
 from hitmix.moments import compute_moments
-from hitmix.sbm import SbmConfig, sample_sbm
 from hitmix.solver import (CgConfig, NonSpdError, RestrictedOperator,
                            conjugate_gradient)
-
-
-def path3():
-    g = load_edge_list(io.StringIO("0 1\n1 2"))
-    return g, SeedSet.from_members([2], 3).complement
-
-
-def random_connected(n, p, seed):
-    """ER graph resampled until connected (single-block SBM)."""
-    rng = np.random.default_rng(seed)
-    while True:
-        g, _ = sample_sbm(SbmConfig(1, n, p, 0.0), rng)
-        if g.degrees.min() > 0 and reachable_from(
-                g, SeedSet.from_members([0], n)).all():
-            return g
+from oracles import path3, random_connected
 
 
 def dense_operator(op):
@@ -33,8 +18,8 @@ def dense_operator(op):
 
 class TestApply:
     def test_path3_hand_value(self):
-        g, vertices = path3()
-        op = RestrictedOperator(g, vertices)
+        g, seeds = path3()
+        op = RestrictedOperator(g, seeds.complement)
         y = op.apply(np.array([1.0, 0.0]))
         assert np.allclose(y, [1.0, -1.0 / np.sqrt(2)], atol=1e-15)
 
@@ -46,13 +31,13 @@ class TestApply:
         assert np.array_equal(op.apply(x), x)
 
     def test_zero_maps_to_zero(self):
-        g, vertices = path3()
-        op = RestrictedOperator(g, vertices)
+        g, seeds = path3()
+        op = RestrictedOperator(g, seeds.complement)
         assert np.array_equal(op.apply(np.zeros(2)), np.zeros(2))
 
     def test_dimension_mismatch(self):
-        g, vertices = path3()
-        op = RestrictedOperator(g, vertices)
+        g, seeds = path3()
+        op = RestrictedOperator(g, seeds.complement)
         with pytest.raises(ValueError):
             op.apply(np.zeros(3))
 
@@ -79,15 +64,15 @@ class TestConjugateGradient:
         assert np.allclose(x, b, rtol=1e-12)
 
     def test_path3_hand_solution(self):
-        g, vertices = path3()
-        op = RestrictedOperator(g, vertices)
+        g, seeds = path3()
+        op = RestrictedOperator(g, seeds.complement)
         x, stats = conjugate_gradient(op, np.array([1.0, np.sqrt(2)]))
         assert stats.converged
         assert np.allclose(x, [4.0, 3.0 * np.sqrt(2)], rtol=1e-9)
 
     def test_zero_rhs(self):
-        g, vertices = path3()
-        op = RestrictedOperator(g, vertices)
+        g, seeds = path3()
+        op = RestrictedOperator(g, seeds.complement)
         x, stats = conjugate_gradient(op, np.zeros(2))
         assert np.array_equal(x, np.zeros(2))
         assert stats.iterations == 0 and stats.converged

@@ -10,13 +10,13 @@ import secrets
 import sys
 import tempfile
 import time
+from dataclasses import replace
 
 from .graph import EdgeListParseError, data_lines, load_edge_list, load_seed_file
 from .metrics import adjusted_rand_index, precision_recall_f1
 from .mixture import HitmixConfig, hitmix
 from .moments import compute_moments
-from .sbm import (SWEEPS, SimulationSpec, run_simulation, runs_csv_lines,
-                  summary_csv_lines)
+from .sbm import SimulationSpec, run_simulation, runs_csv_lines, summary_csv_lines
 from .solver import CgConfig, CgStats, HitmixError
 
 log = logging.getLogger("hitmix")
@@ -74,7 +74,7 @@ def _cmd_moments(args) -> int:
 
 def _parse_clusters(text: str) -> tuple[int, ...]:
     if text == "auto":
-        return (2, 3, 4, 5)
+        return HitmixConfig.g_candidates
     return tuple(int(t) for t in text.split(","))
 
 
@@ -106,8 +106,8 @@ def _cmd_expand(args) -> int:
     sidecar = {
         "selected_g": result.selected_g,
         "goal_component": result.goal_component,
-        "tau": args.tau,
-        "rng_seed": seed,
+        "tau": cfg.tau,
+        "rng_seed": cfg.rng_seed,
         "bic_by_g": {str(g): b for g, b in result.bic_by_g.items()},
         "components": {str(g): [{"mu": c.mu, "sigma2": c.sigma2}
                                 for c in f.components]
@@ -121,25 +121,29 @@ def _cmd_expand(args) -> int:
     return 0
 
 
-# Optional sbm-sim config keys and their defaults; `sweep` and `values` are required.
-_SBM_SIM_DEFAULTS = {
-    "seed": None, "samples_per_vertex": "25", "clusters": "2", "tau": "0.5",
-    "mc_samples": "50", "n_blocks": "2", "block_size": "100", "p_in": "0.15",
-    "p_out": "0.05", "scale_p_out": "false", "hitting_set_size": "10", "workers": "1",
+# sbm-sim config keys and their parsers: SimulationSpec fields, then
+# (HitmixConfig field, parser). An absent key keeps the dataclass default.
+_SPEC_KEYS = {
+    "sweep": str, "values": lambda t: t.replace(",", " ").split(),
+    "mc_samples": int, "n_blocks": int, "block_size": int, "p_in": float, "p_out": float,
+    "scale_p_out": lambda t: t.lower() in ("1", "true", "yes"),
+    "hitting_set_size": int, "seed": int, "workers": int,
 }
+_HITMIX_KEYS = {"samples_per_vertex": ("m", int), "tau": ("tau", float),
+                "clusters": ("g_candidates", _parse_clusters)}
 
 
 def _parse_kv_config(path: str, required: tuple[str, ...],
-                     defaults: dict[str, str | None]) -> dict[str, str | None]:
-    """'key = value' lines over the defaults; unknown or missing keys are errors."""
-    out = dict(defaults)
+                     known: set[str]) -> dict[str, str]:
+    """'key = value' lines; unknown or missing keys are errors."""
+    out = {}
     with open(path) as f:
         for line_no, line in data_lines(f):
             if "=" not in line:
                 raise ValueError(f"{path}:{line_no}: expected 'key = value'")
             key, _, value = line.partition("=")
             key = key.strip()
-            if key not in defaults and key not in required:
+            if key not in known:
                 raise ValueError(f"{path}: unknown key {key!r}")
             out[key] = value.strip()
     for key in required:
@@ -149,38 +153,20 @@ def _parse_kv_config(path: str, required: tuple[str, ...],
 
 
 def _cmd_sbm_sim(args) -> int:
-    kv = _parse_kv_config(args.config, ("sweep", "values"), _SBM_SIM_DEFAULTS)
-    sweep = kv["sweep"]
-    if sweep not in SWEEPS:
-        raise ValueError(f"sweep must be one of {SWEEPS}")
-    raw_values = [t for t in kv["values"].replace(",", " ").split()]
-    values = ([int(v) for v in raw_values] if sweep != "p_in"
-              else [float(v) for v in raw_values])
-    seed = _resolve_seed(args.seed if args.seed is not None
-                         else (int(kv["seed"]) if kv["seed"] is not None else None))
-    hm_cfg = HitmixConfig(
-        m=int(kv["samples_per_vertex"]),
-        g_candidates=_parse_clusters(kv["clusters"]),
-        tau=float(kv["tau"]),
-    )
-    spec = SimulationSpec(
-        sweep=sweep,
-        values=values,
-        mc_samples=int(kv["mc_samples"]),
-        n_blocks=int(kv["n_blocks"]),
-        block_size=int(kv["block_size"]),
-        p_in=float(kv["p_in"]),
-        p_out=float(kv["p_out"]),
-        scale_p_out=kv["scale_p_out"].lower() in ("1", "true", "yes"),
-        hitting_set_size=int(kv["hitting_set_size"]),
-        seed=seed,
-        workers=args.workers if args.workers is not None else int(kv["workers"]),
-        hitmix_cfg=hm_cfg,
-    )
+    kv = _parse_kv_config(args.config, ("sweep", "values"),
+                          _SPEC_KEYS.keys() | _HITMIX_KEYS.keys())
+    fields = {k: parse(kv[k]) for k, parse in _SPEC_KEYS.items() if k in kv}
+    for flag in ("seed", "workers"):        # the flags take priority over the file
+        if getattr(args, flag) is not None:
+            fields[flag] = getattr(args, flag)
+    fields["seed"] = _resolve_seed(fields.get("seed"))
+    spec = SimulationSpec(**fields)
+    hm_fields = {f: parse(kv[k]) for k, (f, parse) in _HITMIX_KEYS.items() if k in kv}
+    spec = replace(spec, hitmix_cfg=replace(spec.hitmix_cfg, **hm_fields))
     t0 = time.perf_counter()
     summary = run_simulation(spec)
     log.info("sbm-sim: %d conditions x %d runs in %.1fs",
-             len(values), spec.mc_samples, time.perf_counter() - t0)
+             len(spec.values), spec.mc_samples, time.perf_counter() - t0)
     os.makedirs(args.out, exist_ok=True)
     _atomic_write(os.path.join(args.out, "runs.csv"),
                   "\n".join(runs_csv_lines(summary)) + "\n")
@@ -246,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     common_gs.add_argument("--graph", required=True, help="edge-list file")
     common_gs.add_argument("--seeds", required=True, help="seed-id file")
     common_gs.add_argument("--out", required=True, help="output path")
-    common_gs.add_argument("--cg-tol", type=float, default=1e-10)
+    common_gs.add_argument("--cg-tol", type=float, default=CgConfig.rel_tol)
 
     p = sub.add_parser("moments", parents=[common_gs],
                        help="hitting-time means/variances as TSV")
@@ -254,12 +240,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("expand", parents=[common_gs],
                        help="full membership pipeline, TSV + JSON sidecar")
-    p.add_argument("--tau", type=float, default=0.5)
-    p.add_argument("--samples-per-vertex", type=int, default=25)
+    p.add_argument("--tau", type=float, default=HitmixConfig.tau)
+    p.add_argument("--samples-per-vertex", type=int, default=HitmixConfig.m)
     p.add_argument("--clusters", default="auto",
-                   help="comma list of component counts, or 'auto' (BIC over 2-5)")
-    p.add_argument("--em-tol", type=float, default=1e-8)
-    p.add_argument("--em-max-iters", type=int, default=500)
+                   help="comma list of component counts, or 'auto' (BIC over "
+                        f"{min(HitmixConfig.g_candidates)}-{max(HitmixConfig.g_candidates)})")
+    p.add_argument("--em-tol", type=float, default=HitmixConfig.em_rel_tol)
+    p.add_argument("--em-max-iters", type=int, default=HitmixConfig.em_max_iters)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_expand)
 
@@ -293,7 +280,7 @@ def run(argv=None) -> int:
         return 1 if exc.code else 0
     try:
         return args.func(args)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         log.error("%s", exc)
         return 2
     except HitmixError as exc:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -98,8 +99,8 @@ def sample_hitting_set(block_labels: np.ndarray, size: int,
 @dataclass
 class SimulationSpec:
     sweep: str                      # one of SWEEPS
-    values: list
-    mc_samples: int
+    values: list                    # cast to float for p_in, else to int
+    mc_samples: int = 50
     n_blocks: int = 2
     block_size: int = 100
     p_in: float = 0.15
@@ -107,7 +108,7 @@ class SimulationSpec:
     scale_p_out: bool = False       # p_out := p_out / (b - 1), Simulation-1 rule
     hitting_set_size: int = 10
     seed: int = 0
-    workers: int = 1
+    workers: int = 1                # capped at os.cpu_count() when run
     hitmix_cfg: HitmixConfig = field(default_factory=lambda: HitmixConfig(g_candidates=(2,)))
 
     def __post_init__(self):
@@ -115,20 +116,22 @@ class SimulationSpec:
             raise ValueError(f"sweep must be one of {SWEEPS}")
         if self.mc_samples < 1:
             raise ValueError("mc_samples must be >= 1")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
         if not self.values:
             raise ValueError("sweep values must be non-empty")
+        cast = float if self.sweep == "p_in" else int
+        self.values = [cast(v) for v in self.values]
+        for v in self.values:
+            self.condition(v)
 
     def condition(self, value) -> tuple[SbmConfig, int]:
         """SBM config and hitting-set size for one sweep value."""
-        n_blocks = self.n_blocks
-        p_in = self.p_in
-        hs = self.hitting_set_size
-        if self.sweep == "n_blocks":
-            n_blocks = int(value)
-        elif self.sweep == "p_in":
-            p_in = float(value)
-        else:
-            hs = int(value)
+        n_blocks = value if self.sweep == "n_blocks" else self.n_blocks
+        p_in = value if self.sweep == "p_in" else self.p_in
+        hs = value if self.sweep == "hitting_set_size" else self.hitting_set_size
+        if self.scale_p_out and n_blocks < 2:
+            raise ValueError("scale_p_out needs n_blocks >= 2")
         p_out = self.p_out / (n_blocks - 1) if self.scale_p_out else self.p_out
         return SbmConfig(n_blocks, self.block_size, p_in, p_out), hs
 
@@ -218,8 +221,9 @@ def run_simulation(spec: SimulationSpec) -> McSummary:
     jobs = [(spec, ci, ri)
             for ci in range(len(spec.values))
             for ri in range(spec.mc_samples)]
-    if spec.workers > 1:
-        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
+    workers = min(spec.workers, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_run_star, jobs, chunksize=4))
     else:
         records = [_single_run(*j) for j in jobs]

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 import hitmix
+import hitmix.cli
 import hitmix.mixture
 import hitmix.moments
 from hitmix.cli import run
-from hitmix.mixture import EmCollapseError
+from hitmix.mixture import EmCollapseError, HitmixConfig
+from hitmix.sbm import McSummary, SimulationSpec
 from hitmix.solver import CgStats, NonSpdError
 
 PATH3 = "0 1\n1 2\n"
@@ -119,6 +121,73 @@ def test_sbm_sim_config_keys_checked(tmp_path, caplog, text, message):
     assert [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR] \
         == [f"{cfg}: {message}"]
     assert not (tmp_path / "r").exists()
+
+
+@pytest.fixture
+def captured_spec(monkeypatch):
+    """The SimulationSpec that sbm-sim hands to run_simulation (no runs made)."""
+    specs = []
+
+    def fake_run_simulation(spec):
+        specs.append(spec)
+        return McSummary(spec, [], [])
+    monkeypatch.setattr(hitmix.cli, "run_simulation", fake_run_simulation)
+    return specs
+
+
+def test_sbm_sim_absent_keys_keep_dataclass_defaults(tmp_path, captured_spec):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("sweep = p_in\nvalues = 0.3, 0.1\nseed = 5\n")
+    assert run(["sbm-sim", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 0
+    assert captured_spec == [SimulationSpec(sweep="p_in", values=[0.3, 0.1], seed=5)]
+
+
+def test_sbm_sim_every_key_and_flag_priority(tmp_path, captured_spec):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(
+        "sweep = n_blocks\nvalues = 2 3\nseed = 11\nsamples_per_vertex = 20\n"
+        "clusters = 2,3\ntau = 0.4\nmc_samples = 3\nn_blocks = 4\nblock_size = 40\n"
+        "p_in = 0.3\np_out = 0.1\nscale_p_out = yes\nhitting_set_size = 6\nworkers = 3\n")
+    assert run(["sbm-sim", "--config", str(cfg), "--out", str(tmp_path / "r"),
+                "--seed", "9", "--workers", "1"]) == 0
+    [spec] = captured_spec
+    expected = SimulationSpec(
+        sweep="n_blocks", values=[2, 3], mc_samples=3, n_blocks=4, block_size=40,
+        p_in=0.3, p_out=0.1, scale_p_out=True, hitting_set_size=6, seed=9, workers=1,
+        hitmix_cfg=HitmixConfig(m=20, g_candidates=(2, 3), tau=0.4))
+    assert vars(spec) == vars(expected)
+
+
+def test_sbm_sim_without_seed_logs_the_one_it_picks(tmp_path, caplog, captured_spec):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("sweep = p_in\nvalues = 0.3\n")
+    with caplog.at_level(logging.INFO, logger="hitmix"):
+        assert run(["sbm-sim", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 0
+    seed = captured_spec[0].seed
+    assert f"using seed {seed} (pass --seed {seed} to replay)" in caplog.text
+
+
+@pytest.mark.parametrize("text, message", [
+    ("sweep = n_blocks\nvalues = 1, 2\nscale_p_out = true\n",
+     "scale_p_out needs n_blocks >= 2"),
+    ("sweep = p_in\nvalues = 0.3\np_out = 1.5\n", "edge probabilities must lie in [0, 1]"),
+    ("sweep = p_in\nvalues = 0.3\nworkers = -4\n", "workers must be >= 1"),
+], ids=["scale_p_out_one_block", "p_out", "workers"])
+def test_sbm_sim_invalid_setting_fails_before_any_run(tmp_path, caplog, text, message):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(text + "seed = 1\n")
+    rc = run(["sbm-sim", "--config", str(cfg), "--out", str(tmp_path / "r")])
+    assert rc == 2
+    assert [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR] \
+        == [message]
+    assert not (tmp_path / "r").exists()
+
+
+def test_key_error_is_a_bug_not_an_input_error(workdir, monkeypatch):
+    monkeypatch.setattr(hitmix.cli, "compute_moments", _raise(KeyError("bug")))
+    with pytest.raises(KeyError):
+        run(["moments", "--graph", str(workdir / "g.txt"), "--seeds",
+             str(workdir / "s.txt"), "--out", str(workdir / "o.tsv")])
 
 
 def test_expand_zero_em_iterations_is_input_error(workdir):

@@ -1,3 +1,4 @@
+import os
 from unittest.mock import Mock
 
 import numpy as np
@@ -153,3 +154,45 @@ class TestRunSimulation:
             small_spec(sweep="bogus")
         with pytest.raises(ValueError):
             small_spec(values=[])
+
+    def test_values_cast_to_the_swept_field_type(self):
+        assert SimulationSpec(sweep="n_blocks", values=["2", 3.0]).values == [2, 3]
+        values = SimulationSpec(sweep="p_in", values=["0.3", 1]).values
+        assert values == [0.3, 1.0] and all(type(v) is float for v in values)
+
+    def test_conditions_checked_at_construction(self):
+        with pytest.raises(ValueError, match=r"edge probabilities"):
+            SimulationSpec(sweep="p_in", values=[0.3], p_out=1.5)
+        with pytest.raises(ValueError, match=r"scale_p_out needs n_blocks >= 2"):
+            SimulationSpec(sweep="n_blocks", values=[1, 2], scale_p_out=True)
+        with pytest.raises(ValueError, match=r"scale_p_out needs n_blocks >= 2"):
+            SimulationSpec(sweep="p_in", values=[0.3], n_blocks=1, scale_p_out=True)
+
+    @pytest.mark.parametrize("workers", [0, -4])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ValueError, match=r"workers must be >= 1"):
+            small_spec(workers=workers)
+
+    def test_pool_capped_at_cpu_count(self, monkeypatch):
+        # A fake pool records its size and runs in-process: no real pool is started.
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(hitmix.sbm, "ProcessPoolExecutor", FakePool)
+        cpus = os.cpu_count() or 1
+        a = run_simulation(small_spec(values=[0.3], mc_samples=3, workers=cpus + 3))
+        b = run_simulation(small_spec(values=[0.3], mc_samples=3, workers=1))
+        assert sizes == ([cpus] if cpus > 1 else [])
+        assert runs_csv_lines(a) == runs_csv_lines(b)

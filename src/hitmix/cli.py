@@ -12,7 +12,7 @@ import tempfile
 import time
 from dataclasses import replace
 
-from .graph import EdgeListParseError, data_lines, load_edge_list, load_seed_file
+from .graph import data_lines, edge_tokens, load_edge_list, load_seed_file
 from .metrics import adjusted_rand_index, precision_recall_f1
 from .mixture import HitmixConfig, hitmix
 from .moments import compute_moments
@@ -49,6 +49,13 @@ def _cg_summary(stats: list[CgStats]) -> str:
             + ", ".join(f"{s.final_rel_residual:.1e}" for s in stats) + "]")
 
 
+def _tsv(header: str, *columns) -> str:
+    """header, then one row per vertex: floats to 12 significant digits,
+    ids and flags as integers."""
+    row = "\t".join("%.12g" if c.dtype.kind == "f" else "%d" for c in columns)
+    return "\n".join([header, *(row % r for r in zip(*(c.tolist() for c in columns)))]) + "\n"
+
+
 def _load_graph_and_seeds(args):
     with open(args.graph) as f:
         graph = load_edge_list(f)
@@ -64,11 +71,8 @@ def _cmd_moments(args) -> int:
     table = compute_moments(graph, seeds, cfg)
     log.info("moments: %d vertices, %s, %.3fs", table.vertices.size,
              _cg_summary(table.cg_stats), time.perf_counter() - t0)
-    lines = ["vertex_id\tmean\tvariance\treachable"]
-    for i, v in enumerate(table.vertices):
-        lines.append(f"{v}\t{table.mean[i]:.12g}\t{table.variance[i]:.12g}"
-                     f"\t{int(table.reachable[i])}")
-    _atomic_write(args.out, "\n".join(lines) + "\n")
+    _atomic_write(args.out, _tsv("vertex_id\tmean\tvariance\treachable", table.vertices,
+                                 table.mean, table.variance, table.reachable))
     return 0
 
 
@@ -97,11 +101,9 @@ def _cmd_expand(args) -> int:
              time.perf_counter() - t0)
 
     table = result.moments
-    lines = ["vertex_id\tmean\tvariance\tposterior_goal\tlabel"]
-    for i, v in enumerate(result.vertices):
-        lines.append(f"{v}\t{table.mean[i]:.12g}\t{table.variance[i]:.12g}"
-                     f"\t{result.posterior[i]:.12g}\t{int(result.labels[i])}")
-    _atomic_write(args.out, "\n".join(lines) + "\n")
+    _atomic_write(args.out, _tsv("vertex_id\tmean\tvariance\tposterior_goal\tlabel",
+                                 result.vertices, table.mean, table.variance,
+                                 result.posterior, result.labels))
 
     sidecar = {
         "selected_g": result.selected_g,
@@ -210,10 +212,7 @@ def _cmd_relabel(args) -> int:
     out_lines = []
     with open(args.graph) as f:
         for line_no, line in data_lines(f):
-            tokens = line.split()
-            if len(tokens) != 2:
-                raise EdgeListParseError(line_no, f"expected 2 tokens, got {len(tokens)}")
-            ids = [mapping.setdefault(t, len(mapping)) for t in tokens]
+            ids = [mapping.setdefault(t, len(mapping)) for t in edge_tokens(line_no, line)]
             out_lines.append(f"{ids[0]} {ids[1]}")
     _atomic_write(args.out, "\n".join(out_lines) + "\n")
     map_lines = [f"{name}\t{vid}" for name, vid in mapping.items()]

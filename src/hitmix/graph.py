@@ -8,6 +8,8 @@ stochastic.
 
 from __future__ import annotations
 
+import io
+import re
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator
 
@@ -50,11 +52,20 @@ class Graph:
             raise ValueError("negative vertex id")
         if u.size and max(u.max(), v.max()) >= n_vertices:
             raise ValueError("vertex id exceeds n_vertices")
+        if n_vertices > 2 ** 31:
+            raise ValueError("more than 2**31 vertices")
         # A = C + C^T for the COO C of the input pairs: a reversed pair adds to
         # the same entry, and a self-loop gets 2 so that degrees equal row sums.
-        c = sp.coo_matrix((np.ones(u.size, dtype=np.int64), (u, v)),
-                          shape=(n_vertices, n_vertices))
-        return cls(n_vertices, c + c.T)
+        # A's entries in CSR order are the runs of the sorted keys row << 32 | col
+        # of both directions; a run's length is the entry's multiplicity.
+        keys = np.sort(np.concatenate([u << 32 | v, v << 32 | u]))
+        # Run starts: the first key, if any, and each key unlike the one before.
+        first = np.flatnonzero(np.concatenate([keys[:1] >= 0, keys[1:] != keys[:-1]]))
+        entries = keys[first]
+        indptr = np.append(0, np.bincount(entries >> 32, minlength=n_vertices).cumsum())
+        counts = np.diff(first, append=keys.size)
+        return cls(n_vertices, sp.csr_matrix((counts, entries & 0xFFFFFFFF, indptr),
+                                             shape=(n_vertices, n_vertices)))
 
 
 @dataclass(frozen=True)
@@ -84,6 +95,8 @@ class SeedSet:
 # vertices per edge (plus a fixed allowance) is taken as sparse ids, not a graph.
 _MAX_VERTICES_PER_EDGE = 10
 _SPARE_VERTICES = 1000
+# Leading blank and '#' lines of an edge list.
+_HEADER = re.compile(r"(?:[ \t\r]*(?:#[^\n]*)?\n)*")
 
 
 def data_lines(stream: IO[str]) -> Iterator[tuple[int, str]]:
@@ -94,33 +107,67 @@ def data_lines(stream: IO[str]) -> Iterator[tuple[int, str]]:
             yield line_no, line
 
 
-def load_edge_list(stream: IO[str]) -> Graph:
-    """Parse a SNAP-style edge list: '#' comments, 'u v' per data line."""
-    us: list[int] = []
-    vs: list[int] = []
-    # data_lines, inlined: on a million-line file its generator adds 5% here.
-    for line_no, raw in enumerate(stream, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if len(tokens) != 2:
-            raise EdgeListParseError(line_no, f"expected 2 tokens, got {len(tokens)}")
+def edge_tokens(line_no: int, line: str) -> list[str]:
+    """The two whitespace-separated tokens of an edge-list data line."""
+    tokens = line.split()
+    if len(tokens) != 2:
+        raise EdgeListParseError(line_no, f"expected 2 tokens, got {len(tokens)}")
+    return tokens
+
+
+def _bulk_ids(text: str) -> np.ndarray | None:
+    """u0 v0 u1 v1 ... in one np.fromstring call when, past a '#' header, every
+    line is blank or two runs of ASCII digits apart by spaces, tabs or CRs."""
+    text = text[_HEADER.match(text).end():]
+    data = b"\n" + text.encode("ascii", "replace") + b"\n"
+    if data.translate(None, b"0123456789 \t\r\n"):
+        return None
+    b = np.frombuffer(data, dtype=np.uint8)
+    digit, newline = b >= ord("0"), b == ord("\n")
+    # Newlines and token starts in text order; gaps - 1 tokens on each line.
+    is_newline = newline[1:][np.flatnonzero(newline[1:] | (digit[1:] & ~digit[:-1]))]
+    gaps = np.diff(np.flatnonzero(is_newline), prepend=-1)
+    ids = np.fromstring(text, dtype=np.int64, sep=" ")
+    # Each line holds 0 or 2 ids, all parsed, and none of 19 or more digits,
+    # which may have saturated at 2**63 - 1 (the line loop reports its digits).
+    if (((gaps == 1) | (gaps == 3)).all() and ids.size == 2 * (gaps == 3).sum()
+            and not (ids.size and ids.max() >= 10 ** 18)):
+        return ids
+    return None
+
+
+def _line_ids(text: str) -> list[int]:
+    """u0 v0 u1 v1 ... parsed line by line; owns every per-line error."""
+    ids: list[int] = []
+    for line_no, line in data_lines(io.StringIO(text)):
+        tokens = edge_tokens(line_no, line)
         try:
             u, v = int(tokens[0]), int(tokens[1])
         except ValueError:
             raise EdgeListParseError(line_no, f"non-integer vertex id in {tokens!r}") from None
         if u < 0 or v < 0:
             raise EdgeListParseError(line_no, "negative vertex id")
-        us.append(u)
-        vs.append(v)
-    if not us:
+        ids += (u, v)
+    return ids
+
+
+def load_edge_list(stream: IO[str]) -> Graph:
+    """Parse a SNAP-style edge list: '#' comments, 'u v' per data line.
+
+    Plain digit pairs are parsed in bulk; any other text goes through the line
+    loop, which accepts the same inputs and gives the same errors."""
+    text = stream.read()
+    ids = _bulk_ids(text)
+    if ids is None:
+        ids = _line_ids(text)
+    if not len(ids):
         raise EdgeListParseError(0, "no edges in input")
-    n = 1 + max(max(us), max(vs))
-    if n > _MAX_VERTICES_PER_EDGE * len(us) + _SPARE_VERTICES:
+    # A list holds Python ints, exact past the int64 range.
+    n, n_edges = 1 + (max(ids) if isinstance(ids, list) else int(ids.max())), len(ids) // 2
+    if n > _MAX_VERTICES_PER_EDGE * n_edges + _SPARE_VERTICES:
         raise EdgeListParseError(0, f"vertex id {n - 1} implies {n} vertices for "
-                                    f"{len(us)} edges; make ids dense with `hitmix relabel`")
-    return Graph.from_edges(n, np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64))
+                                    f"{n_edges} edges; make ids dense with `hitmix relabel`")
+    return Graph.from_edges(n, ids[0::2], ids[1::2])
 
 
 def load_seed_file(stream: IO[str], n_vertices: int) -> SeedSet:

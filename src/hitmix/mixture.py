@@ -148,7 +148,8 @@ def em_fit(samples: VertexSamples, g: int, cfg: HitmixConfig | None = None) -> M
     """EM for a g-component lognormal mixture over grouped vertex samples.
 
     log prod_j f(t_ij; theta_k) = -s1_i + [1, s1_i, s2_i] . w_k, so the E-step
-    is one (n x 3) @ (3 x g) product and the M-step reads resp.T @ [1, s1, s2].
+    is one (g x 3) @ (3 x n) product, reduced over g rows into (g, n)
+    responsibilities, and the M-step reads resp @ [1, s1, s2].
     """
     if cfg is None:
         cfg = HitmixConfig()
@@ -159,6 +160,7 @@ def em_fit(samples: VertexSamples, g: int, cfg: HitmixConfig | None = None) -> M
         raise ValueError(f"g = {g} exceeds number of vertices ({n})")
 
     stats = np.column_stack([np.ones(n), samples.s1, samples.s2])
+    stats_t = np.ascontiguousarray(stats.T)
     log_jacobian = -float(samples.s1.sum())
 
     # Deterministic init: quantile split on the per-vertex mean of log t.
@@ -169,22 +171,24 @@ def em_fit(samples: VertexSamples, g: int, cfg: HitmixConfig | None = None) -> M
     global_mu, global_sigma2 = _log_normal_mle(stats.sum(axis=0), m)
 
     ll_history: list[float] = []
-    resp = np.full((n, g), 1.0 / g)
+    resp = np.full((g, n), 1.0 / g)
     ll = -np.inf
     converged = False
     restarts = 0
     it = 0
     while it < cfg.em_max_iters:
         it += 1
-        # E-step in log space, shifted by the row maximum.
+        # E-step in log space, shifted by the per-vertex maximum.
         w = np.array([-0.5 * m * np.log(2.0 * np.pi * sigma2s) - m * mus ** 2 / (2.0 * sigma2s),
                       mus / sigma2s,
                       -0.5 / sigma2s])
-        log_joint = stats @ w + np.log(pis)
-        top = log_joint.max(axis=1, keepdims=True)
-        joint = np.exp(log_joint - top)
-        total = joint.sum(axis=1, keepdims=True)
-        resp = joint / total
+        joint = w.T @ stats_t
+        joint += np.log(pis)[:, None]
+        top = joint.max(axis=0)
+        joint -= top
+        np.exp(joint, out=joint)
+        total = joint.sum(axis=0)
+        resp = np.divide(joint, total, out=joint)
         ll_new = float((top + np.log(total)).sum()) + log_jacobian
         ll_history.append(ll_new)
         if np.isfinite(ll) and abs(ll_new - ll) <= cfg.em_rel_tol * max(1.0, abs(ll)):
@@ -193,8 +197,10 @@ def em_fit(samples: VertexSamples, g: int, cfg: HitmixConfig | None = None) -> M
             break
         ll = ll_new
 
-        # M-step.
-        sums = resp.T @ stats
+        # M-step. Under OpenBLAS this form rounds like the product over an
+        # (n, g) layout that fixed-seed outputs were made with; resp @ stats
+        # rounds differently at g = 2 and 3.
+        sums = (stats.T @ resp.T).T
         nk = sums[:, 0]
         collapsed = nk / n < _COLLAPSE_EPS
         if collapsed.any():
@@ -213,7 +219,8 @@ def em_fit(samples: VertexSamples, g: int, cfg: HitmixConfig | None = None) -> M
         pis = nk / n
 
     components = [LognormalParams(float(mus[k]), float(sigma2s[k])) for k in range(g)]
-    return MixtureFit(g, components, pis, resp, ll, ll_history, it, converged)
+    return MixtureFit(g, components, pis, np.ascontiguousarray(resp.T), ll, ll_history,
+                      it, converged)
 
 
 def bic(fit: MixtureFit, n_vertices: int, m: int) -> float:

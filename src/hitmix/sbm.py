@@ -130,6 +130,8 @@ class SimulationSpec:
         n_blocks = value if self.sweep == "n_blocks" else self.n_blocks
         p_in = value if self.sweep == "p_in" else self.p_in
         hs = value if self.sweep == "hitting_set_size" else self.hitting_set_size
+        if not 1 <= hs <= self.block_size:
+            raise ValueError(f"hitting set size must lie in [1, {self.block_size}]")
         if self.scale_p_out and n_blocks < 2:
             raise ValueError("scale_p_out needs n_blocks >= 2")
         p_out = self.p_out / (n_blocks - 1) if self.scale_p_out else self.p_out

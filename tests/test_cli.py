@@ -1,3 +1,4 @@
+import io
 import json
 import logging
 import os
@@ -11,7 +12,9 @@ import hitmix
 import hitmix.cli
 import hitmix.mixture
 import hitmix.moments
-from hitmix.cli import run
+import hitmix.sbm
+from hitmix.cli import _tsv, run
+from hitmix.graph import EdgeListParseError, load_edge_list
 from hitmix.mixture import EmCollapseError, HitmixConfig
 from hitmix.sbm import McSummary, SimulationSpec
 from hitmix.solver import CgStats, NonSpdError
@@ -83,6 +86,27 @@ def test_relabel(tmp_path):
     mapping = dict(l.split("\t") for l in
                    (tmp_path / "dense.txt.map.tsv").read_text().strip().split("\n"))
     assert mapping == {"alice": "0", "bob": "1", "carol": "2"}
+
+
+def test_relabel_and_load_share_the_token_message(tmp_path, caplog):
+    (tmp_path / "bad.txt").write_text("# names\nalice bob\nalice bob carol\n")
+    with pytest.raises(EdgeListParseError) as loaded:
+        load_edge_list(io.StringIO("# ids\n0 1\n0 1 2\n"))
+    assert run(["relabel", "--graph", str(tmp_path / "bad.txt"),
+                "--out", str(tmp_path / "dense.txt")]) == 2
+    assert [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR] \
+        == [str(loaded.value)] == ["line 3: expected 2 tokens, got 3"]
+    assert not (tmp_path / "dense.txt").exists()
+
+
+def test_tsv_rows_match_per_value_formatting():
+    ids = np.array([3, 7, 12])
+    x = np.array([np.nan, -0.0, 1234567.891234567891])
+    y = np.array([np.inf, 1e-300, 2.0 / 3.0])
+    flags = np.array([True, False, True])
+    expected = ["vertex_id\tx\ty\tflag"] + [
+        f"{i}\t{a:.12g}\t{b:.12g}\t{int(f)}" for i, a, b, f in zip(ids, x, y, flags)]
+    assert _tsv("vertex_id\tx\ty\tflag", ids, x, y, flags) == "\n".join(expected) + "\n"
 
 
 def test_sbm_sim_smoke(tmp_path):
@@ -180,6 +204,19 @@ def test_sbm_sim_invalid_setting_fails_before_any_run(tmp_path, caplog, text, me
     assert rc == 2
     assert [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR] \
         == [message]
+    assert not (tmp_path / "r").exists()
+
+
+def test_sbm_sim_hitting_set_larger_than_block_fails_before_any_run(tmp_path, caplog,
+                                                                   monkeypatch):
+    sampled = []
+    monkeypatch.setattr(hitmix.sbm, "sample_sbm", lambda *args: sampled.append(args))
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("sweep = hitting_set_size\nvalues = 10, 150\nmc_samples = 3\nseed = 1\n")
+    assert run(["sbm-sim", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+    assert [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR] \
+        == ["hitting set size must lie in [1, 100]"]
+    assert sampled == []
     assert not (tmp_path / "r").exists()
 
 

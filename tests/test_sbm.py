@@ -92,6 +92,13 @@ class TestHittingSet:
             sample_hitting_set(labels, 11, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("sweep, values, size", [
+    ("hitting_set_size", [10, 150], 10), ("hitting_set_size", [0], 10), ("p_in", [0.3], 101)])
+def test_spec_rejects_hitting_set_outside_goal_block(sweep, values, size):
+    with pytest.raises(ValueError, match=r"^hitting set size must lie in \[1, 100\]$"):
+        SimulationSpec(sweep=sweep, values=values, hitting_set_size=size, block_size=100)
+
+
 def small_spec(**kw):
     defaults = dict(sweep="p_in", values=[0.3, 0.05], mc_samples=4,
                     block_size=40, hitting_set_size=8, seed=123)

@@ -186,7 +186,10 @@ def _read_label_tsv(path: str) -> dict[int, int]:
             tokens = line.split("\t")
             if len(tokens) < 2:
                 raise ValueError(f"{path}:{line_no}: expected 2 columns")
-            labels[int(tokens[0])] = int(tokens[1])
+            try:        # the label is the last column, as in expand's output
+                labels[int(tokens[0])] = int(tokens[-1])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from None
     return labels
 
 

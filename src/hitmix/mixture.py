@@ -21,11 +21,10 @@ log = logging.getLogger(__name__)
 
 _COLLAPSE_EPS = 1e-12
 _SIGMA2_FLOOR = 1e-8
-_MAX_RESTARTS = 3
 
 
 class EmCollapseError(HitmixError):
-    """A mixture component collapsed more often than EM may restart it."""
+    """A mixture component lost all its weight (nk / n < 1e-12) in an M-step."""
 
 
 @dataclass(frozen=True)
@@ -149,7 +148,8 @@ def em_fit(samples: VertexSamples, g: int, cfg: HitmixConfig | None = None) -> M
 
     log prod_j f(t_ij; theta_k) = -s1_i + [1, s1_i, s2_i] . w_k, so the E-step
     is one (g x 3) @ (3 x n) product, reduced over g rows into (g, n)
-    responsibilities, and the M-step reads resp @ [1, s1, s2].
+    responsibilities, and the M-step reads resp @ [1, s1, s2]. Raises
+    EmCollapseError at the first M-step that leaves a component weight below 1e-12.
     """
     if cfg is None:
         cfg = HitmixConfig()
@@ -168,13 +168,10 @@ def em_fit(samples: VertexSamples, g: int, cfg: HitmixConfig | None = None) -> M
     mus, sigma2s = _log_normal_mle(
         np.array([stats[group].sum(axis=0) for group in np.array_split(order, g)]), m)
     pis = np.full(g, 1.0 / g)
-    global_mu, global_sigma2 = _log_normal_mle(stats.sum(axis=0), m)
 
     ll_history: list[float] = []
-    resp = np.full((g, n), 1.0 / g)
     ll = -np.inf
     converged = False
-    restarts = 0
     it = 0
     while it < cfg.em_max_iters:
         it += 1
@@ -202,19 +199,8 @@ def em_fit(samples: VertexSamples, g: int, cfg: HitmixConfig | None = None) -> M
         # rounds differently at g = 2 and 3.
         sums = (stats.T @ resp.T).T
         nk = sums[:, 0]
-        collapsed = nk / n < _COLLAPSE_EPS
-        if collapsed.any():
-            restarts += 1
-            if restarts > _MAX_RESTARTS:
-                raise EmCollapseError(
-                    f"component collapsed {restarts} times during EM (g={g})")
-            log.warning("EM component collapse (g=%d, iter=%d); restarting "
-                        "%d component(s) at the global MLE", g, it, collapsed.sum())
-            mus[collapsed] = global_mu
-            sigma2s[collapsed] = global_sigma2
-            pis[collapsed] = 1.0 / g
-            pis = pis / pis.sum()
-            continue
+        if (nk / n < _COLLAPSE_EPS).any():
+            raise EmCollapseError(f"EM component collapsed (g={g}, iter={it})")
         mus, sigma2s = _log_normal_mle(sums, m)
         pis = nk / n
 
@@ -237,7 +223,8 @@ def component_means(fit: MixtureFit) -> np.ndarray:
 def hitmix(graph: Graph, seeds: SeedSet,
            cfg: HitmixConfig | None = None) -> MembershipResult:
     """Full pipeline: moments -> pseudo-samples -> EM over g candidates ->
-    BIC selection -> goal membership at threshold tau."""
+    BIC selection -> goal membership at threshold tau. A g whose EM collapses
+    is skipped with a warning; EmCollapseError is raised only if no g fits."""
     if cfg is None:
         cfg = HitmixConfig()
     moments = compute_moments(graph, seeds, cfg.cg)
@@ -246,15 +233,21 @@ def hitmix(graph: Graph, seeds: SeedSet,
 
     fits: dict[int, MixtureFit] = {}
     bic_by_g: dict[int, float] = {}
+    collapse = None
     for g in cfg.g_candidates:
         if g > reach.vertices.size:
             log.warning("skipping g=%d: more components than vertices", g)
             continue
-        fit = em_fit(samples, g, cfg)
+        try:
+            fit = em_fit(samples, g, cfg)
+        except EmCollapseError as exc:
+            log.warning("skipping g=%d: %s", g, exc)
+            collapse = exc
+            continue
         fits[g] = fit
         bic_by_g[g] = bic(fit, reach.vertices.size, cfg.m)
     if not fits:
-        raise ValueError("no feasible g candidate for this instance")
+        raise collapse or ValueError("no feasible g candidate for this instance")
 
     selected_g = min(bic_by_g, key=lambda g: (bic_by_g[g], g))
     fit = fits[selected_g]

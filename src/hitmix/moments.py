@@ -3,7 +3,7 @@
 First-step analysis gives, over the non-seed vertices, (I - P) E T = 1 and
 (I - P) E T^2 = 1 + 2 P E T (Kemeny & Snell, Finite Markov Chains). Both
 systems are solved in symmetrized coordinates (scaled by D^{1/2}), where the
-coefficient matrix is SPD, then mapped back.
+coefficient matrix H = I - D^{-1/2} A D^{-1/2} is SPD, then mapped back.
 """
 
 from __future__ import annotations
@@ -11,10 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .graph import Graph, SeedSet, reachable_from
-from .solver import (CgConfig, CgStats, HitmixError, RestrictedOperator,
-                     conjugate_gradient)
+from .solver import CgConfig, CgStats, HitmixError, conjugate_gradient
 
 
 class MomentConvergenceError(HitmixError):
@@ -42,6 +42,20 @@ class MomentTable:
                            self.reachable[mask], self.cg_stats)
 
 
+def restricted_laplacian(graph: Graph, vertices: np.ndarray) -> sp.csr_matrix:
+    """CSR H = I - D^{-1/2} A D^{-1/2} over a vertex subset. Off-diagonal entries
+    round as (d_i a_ij) d_j, the order that fixed-seed outputs were made with."""
+    deg = graph.degrees[vertices].astype(np.float64)
+    if vertices.size and deg.min() <= 0:
+        raise ValueError("subset contains an isolated vertex (degree 0); "
+                         "filter unreachable vertices first")
+    inv_sqrt_deg = 1.0 / np.sqrt(deg)
+    a = graph.adjacency[vertices][:, vertices].astype(np.float64)
+    a.data *= np.repeat(inv_sqrt_deg, np.diff(a.indptr))
+    a.data *= inv_sqrt_deg[a.indices]
+    return sp.identity(vertices.size, format="csr") - a
+
+
 def compute_moments(graph: Graph, seeds: SeedSet,
                     cfg: CgConfig | None = None) -> MomentTable:
     """Solve the E T and E T^2 systems and assemble mean/variance."""
@@ -52,12 +66,12 @@ def compute_moments(graph: Graph, seeds: SeedSet,
         raise ValueError("no non-seed vertex can reach the seed set")
 
     vertices = seeds.complement[reachable]
-    op = RestrictedOperator(graph, vertices)
+    h = restricted_laplacian(graph, vertices)
     sqrt_deg = np.sqrt(graph.degrees[vertices].astype(np.float64))
     stats: list[CgStats] = []
 
     def solve(order: int, b: np.ndarray) -> np.ndarray:
-        x_tilde, st = conjugate_gradient(op, sqrt_deg * b, cfg)
+        x_tilde, st = conjugate_gradient(h, sqrt_deg * b, cfg)
         if not st.converged:
             raise MomentConvergenceError(order, st)
         stats.append(st)

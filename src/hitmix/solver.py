@@ -1,8 +1,9 @@
-"""Restricted normalized-Laplacian operator and conjugate gradient solver.
+"""Conjugate gradient solver for the symmetric moment systems.
 
-The operator is H = I - D^{-1/2} A D^{-1/2} restricted to a vertex subset.
-It is symmetric, and positive definite whenever every subset vertex has a
-path to a vertex outside the subset (for us: to the seed set).
+The matrix is H = I - D^{-1/2} A D^{-1/2} restricted to a vertex subset
+(moments.restricted_laplacian). It is symmetric, and positive definite whenever
+every subset vertex has a path to a vertex outside the subset (for us: to the
+seed set).
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-
-from .graph import Graph
 
 
 @dataclass
@@ -44,31 +43,6 @@ class NonSpdError(HitmixError):
     """
 
 
-class RestrictedOperator:
-    """Matrix action of I - A_hat over a vertex subset, built once as CSR."""
-
-    def __init__(self, graph: Graph, vertices: np.ndarray):
-        deg = graph.degrees[vertices].astype(np.float64)
-        if vertices.size and deg.min() <= 0:
-            raise ValueError("subset contains an isolated vertex (degree 0); "
-                             "filter unreachable vertices first")
-        self.inv_sqrt_deg = 1.0 / np.sqrt(deg)
-        a_sub = graph.adjacency[vertices][:, vertices].astype(np.float64)
-        scale = sp.diags(self.inv_sqrt_deg)
-        self._matrix = (sp.identity(vertices.size, format="csr")
-                        - scale @ a_sub @ scale).tocsr()
-
-    @property
-    def n(self) -> int:
-        return self.inv_sqrt_deg.size
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.n,):
-            raise ValueError(f"expected vector of length {self.n}, got shape {x.shape}")
-        return self._matrix @ x
-
-
 # A normwise backward error ||b - Hx|| / (||H|| ||x|| + ||b||) of 16 eps is the
 # double-precision floor of CG (Meurant & Strakos 2006): the true residual of a
 # 2000-vertex path stalls near 6 eps. ||H|| <= 2, as A_hat has spectrum in [-1, 1].
@@ -81,9 +55,9 @@ def _done(r_norm: float, x: np.ndarray, b_norm: float, cfg: CgConfig) -> bool:
             * (2.0 * math.sqrt(float(x @ x)) + b_norm))
 
 
-def conjugate_gradient(op: RestrictedOperator, b: np.ndarray,
+def conjugate_gradient(h: sp.csr_matrix, b: np.ndarray,
                        cfg: CgConfig | None = None) -> tuple[np.ndarray, CgStats]:
-    """Solve op @ x = b with textbook (Hestenes-Stiefel) conjugate gradients.
+    """Solve h @ x = b with textbook (Hestenes-Stiefel) conjugate gradients.
 
     Converged means the true residual is within cfg.rel_tol or at the
     double-precision floor; CgStats.final_rel_residual is the true relative
@@ -92,23 +66,24 @@ def conjugate_gradient(op: RestrictedOperator, b: np.ndarray,
     if cfg is None:
         cfg = CgConfig()
     b = np.asarray(b, dtype=np.float64)
-    if b.shape != (op.n,):
-        raise ValueError(f"rhs length {b.shape} does not match operator size {op.n}")
+    n = h.shape[0]
+    if b.shape != (n,):
+        raise ValueError(f"rhs length {b.shape} does not match operator size {n}")
     if not np.all(np.isfinite(b)):
         raise ValueError("rhs contains non-finite entries")
 
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
-        return np.zeros(op.n), CgStats(0, 0.0, True)
+        return np.zeros(n), CgStats(0, 0.0, True)
 
-    x = np.zeros(op.n)
+    x = np.zeros(n)
     r = b.copy()
     p = r.copy()
     rr = float(r @ r)
-    max_iters = max(1000, 10 * op.n)
+    max_iters = max(1000, 10 * n)
 
     for k in range(1, max_iters + 1):
-        hp = op.apply(p)
+        hp = h @ p
         php = float(p @ hp)
         # A vanishing Rayleigh quotient means p sits in a numerical nullspace
         # (unreachable vertices make the operator singular).
@@ -126,11 +101,11 @@ def conjugate_gradient(op: RestrictedOperator, b: np.ndarray,
         # The recursive residual drifts from the true one in finite precision,
         # so it only triggers the check of the true residual.
         if _done(math.sqrt(rr_new), x, b_norm, cfg):
-            true_norm = float(np.linalg.norm(b - op.apply(x)))
+            true_norm = float(np.linalg.norm(b - h @ x))
             if _done(true_norm, x, b_norm, cfg):
                 return x, CgStats(k, true_norm / b_norm, True)
         p = r + (rr_new / rr) * p
         rr = rr_new
 
-    true_norm = float(np.linalg.norm(b - op.apply(x)))
+    true_norm = float(np.linalg.norm(b - h @ x))
     return x, CgStats(max_iters, true_norm / b_norm, _done(true_norm, x, b_norm, cfg))

@@ -269,6 +269,35 @@ def test_eval_one_column_is_input_error(tmp_path, caplog):
         == [f"{tmp_path / 'p.tsv'}:2: expected 2 columns"]
 
 
+def test_eval_scores_expand_output(tmp_path, capsys):
+    # expand's TSV has mean, variance and posterior between the id and the label.
+    edges = [(i, j) for i in range(6) for j in range(i + 1, 6)]
+    edges += [(i + 6, j + 6) for i, j in edges] + [(5, 6)]
+    (tmp_path / "g.txt").write_text("".join(f"{a} {b}\n" for a, b in edges))
+    (tmp_path / "s.txt").write_text("0\n1\n")
+    assert run(["expand", "--graph", str(tmp_path / "g.txt"), "--seeds",
+                str(tmp_path / "s.txt"), "--clusters", "2", "--seed", "3",
+                "--out", str(tmp_path / "e.tsv")]) == 0
+    (tmp_path / "t.tsv").write_text("".join(f"{v}\t{int(v) < 6:d}\n" for v in range(2, 12)))
+    capsys.readouterr()
+    assert run(["eval", "--predicted", str(tmp_path / "e.tsv"),
+                "--truth", str(tmp_path / "t.tsv")]) == 0
+    # the two cliques separate exactly: vertices 2-5 are labelled goal
+    assert json.loads(capsys.readouterr().out) == {"ari": 1.0, "precision": 1.0,
+                                                  "recall": 1.0, "f1": 1.0}
+
+
+@pytest.mark.parametrize("row, bad", [("x\t1", "'x'"), ("2\t0.5", "'0.5'")],
+                         ids=["id", "label"])
+def test_eval_non_integer_is_input_error(tmp_path, caplog, row, bad):
+    (tmp_path / "p.tsv").write_text(f"0\t1\n{row}\n")
+    (tmp_path / "t.tsv").write_text("0\t1\n1\t0\n")
+    rc = run(["eval", "--predicted", str(tmp_path / "p.tsv"),
+              "--truth", str(tmp_path / "t.tsv")])
+    assert rc == 2
+    assert [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR] \
+        == [f"{tmp_path / 'p.tsv'}:2: invalid literal for int() with base 10: {bad}"]
+
 
 def test_module_entry_point_runs_commands(tmp_path):
     # python -m hitmix.cli must run the command, not import the module and exit 0.
@@ -291,8 +320,8 @@ def _raise(exc):
     return fail
 
 
-def _unconverged_cg(op, b, cfg=None):
-    return np.zeros(op.n), CgStats(7, 0.5, False)
+def _unconverged_cg(h, b, cfg=None):
+    return np.zeros(b.size), CgStats(7, 0.5, False)
 
 
 @pytest.mark.parametrize("command, target, replacement, message", [
@@ -302,8 +331,8 @@ def _unconverged_cg(op, b, cfg=None):
      "MomentConvergenceError: CG failed to converge for moment 1: "
      "rel residual 5.000e-01 after 7 iters"),
     ("expand", (hitmix.mixture, "em_fit"),
-     _raise(EmCollapseError("component collapsed 4 times during EM (g=2)")),
-     "EmCollapseError: component collapsed 4 times during EM (g=2)"),
+     _raise(EmCollapseError("EM component collapsed (g=2, iter=1)")),
+     "EmCollapseError: EM component collapsed (g=2, iter=1)"),
 ], ids=["NonSpdError", "MomentConvergenceError", "EmCollapseError"])
 def test_numerical_failure_exit_code(workdir, caplog, capsys, command, target,
                                      replacement, message, monkeypatch):

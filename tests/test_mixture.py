@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from scipy.stats import lognorm
 
 from hitmix.graph import SeedSet, load_edge_list
-from hitmix.mixture import (HitmixConfig, MomentTable, VertexSamples, bic,
-                            component_means, draw_pseudo_samples, em_fit,
-                            hitmix, lognormal_mom)
+from hitmix.mixture import (EmCollapseError, HitmixConfig, MomentTable,
+                            VertexSamples, bic, component_means,
+                            draw_pseudo_samples, em_fit, hitmix, lognormal_mom)
 from hitmix.moments import compute_moments
 
 
@@ -39,6 +39,18 @@ def synthetic_samples(log_means, sigma2, n_per_group, m, seed):
     for mu in log_means:
         rows.append(rng.lognormal(mu, np.sqrt(sigma2), size=(n_per_group, m)))
     return statistics_of(np.vstack(rows))
+
+
+def three_separated_groups():
+    """Statistics on which the quantile start of g = 4 puts two components into
+    one group of per-vertex mean log t, and one of them collapses."""
+    rng = np.random.default_rng(0)
+    mu = np.concatenate([c + 0.05 * rng.standard_normal(k)
+                         for c, k in [(-4.6, 1610), (-2.0, 1684), (5.5, 1706)]])
+    sigma2, m = 0.1, 31
+    s1 = m * mu + np.sqrt(sigma2) * np.sqrt(m) * rng.standard_normal(mu.size)
+    s2 = s1 ** 2 / m + sigma2 * rng.chisquare(m - 1, mu.size)
+    return VertexSamples(s1, s2, m)
 
 
 class TestLognormalMom:
@@ -182,6 +194,15 @@ class TestEmFit:
         assert np.abs(fit.responsibilities.sum(axis=1) - 1.0).max() <= 1e-12
         assert abs(fit.weights.sum() - 1.0) <= 1e-12
 
+    def test_collapse_raises(self):
+        # EM once reset the collapsed component and stopped at its unfitted
+        # start, with ll_history [-61768.07, -61768.07], as "converged".
+        vs = three_separated_groups()
+        with pytest.raises(EmCollapseError, match=r"\(g=4, iter=1\)"):
+            em_fit(vs, 4)
+        fit = em_fit(vs, 3)
+        assert fit.converged and fit.log_likelihood > -6000
+
     def test_too_many_components_errors(self):
         vs = synthetic_samples([0.0], 0.1, 3, 5, seed=0)
         with pytest.raises(ValueError):
@@ -206,7 +227,11 @@ class TestBic:
 
     def test_selects_true_group_count(self):
         vs = synthetic_samples([0.0, 5.0], 0.1, 100, 25, seed=5)
-        assert bic(em_fit(vs, 2), 200, 25) < bic(em_fit(vs, 3), 200, 25)
+        fit4 = em_fit(vs, 4)
+        assert fit4.converged
+        assert bic(em_fit(vs, 2), 200, 25) < bic(fit4, 200, 25)
+        with pytest.raises(EmCollapseError, match=r"g=3"):
+            em_fit(vs, 3)
 
 
 class TestHitmix:
@@ -263,6 +288,22 @@ class TestHitmix:
         res = hitmix(g, seeds, HitmixConfig(g_candidates=(2, 3), rng_seed=4))
         assert res.selected_g in (2, 3)
         assert set(res.bic_by_g) == {2, 3}
+
+    def test_collapsed_g_is_skipped(self, monkeypatch, caplog):
+        def collapse_at_3(samples, g, cfg=None):
+            if g == 3:
+                raise EmCollapseError("EM component collapsed (g=3, iter=1)")
+            return em_fit(samples, g, cfg)     # this module's unpatched binding
+
+        monkeypatch.setattr("hitmix.mixture.em_fit", collapse_at_3)
+        rng = np.random.default_rng(0)
+        from hitmix.sbm import SbmConfig, sample_sbm, sample_hitting_set
+        g, labels = sample_sbm(SbmConfig(2, 60, 0.3, 0.02), rng)
+        seeds = sample_hitting_set(labels, 15, rng)
+        res = hitmix(g, seeds, HitmixConfig(rng_seed=4))
+        assert set(res.fits) == set(res.bic_by_g) == {2, 4, 5}
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert warnings == ["skipping g=3: EM component collapsed (g=3, iter=1)"]
 
 
 class TestHitmixConfig:

@@ -27,7 +27,7 @@ class EdgeListParseError(ValueError):
 
 
 class Graph:
-    """Immutable undirected multigraph with dense 0-based vertex ids."""
+    """Immutable undirected multigraph: dense 0-based ids, symmetric adjacency."""
 
     def __init__(self, n_vertices: int, adjacency: sp.csr_matrix):
         if adjacency.shape != (n_vertices, n_vertices):
@@ -183,8 +183,9 @@ def load_seed_file(stream: IO[str], n_vertices: int) -> SeedSet:
 
 def reachable_from(graph: Graph, seeds: SeedSet) -> np.ndarray:
     """Read-only bool mask over seeds.complement: does the vertex's component
-    contain a seed?"""
-    _, labels = connected_components(graph.adjacency, directed=False)
+    contain a seed? The adjacency is symmetric, so its strong components are
+    the undirected ones, found without the transpose that directed=False adds."""
+    _, labels = connected_components(graph.adjacency, directed=True, connection="strong")
     seed_components = np.unique(labels[list(seeds.members)])
     reachable = np.isin(labels[seeds.complement], seed_components)
     reachable.flags.writeable = False

@@ -9,7 +9,10 @@ selection -> membership threshold.
 from __future__ import annotations
 
 import logging
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -40,6 +43,15 @@ class VertexSamples:
     s1: np.ndarray         # sum_j log t_ij
     s2: np.ndarray         # sum_j (log t_ij)^2
     m: int
+    # EM work arrays per g, made by hitmix() before its fit threads start.
+    _em_arrays: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @cached_property
+    def em_stats(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rows [1, s1_i, s2_i], their transpose and the rows in stable order
+        of s1: the read-only inputs that every em_fit on these samples shares."""
+        stats = np.column_stack([np.ones(self.s1.size), self.s1, self.s2])
+        return stats, np.ascontiguousarray(stats.T), stats[np.argsort(self.s1, kind="stable")]
 
 
 @dataclass
@@ -143,6 +155,11 @@ def _log_normal_mle(sums: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     return mu, np.maximum(sums[..., 2] / n_obs - mu ** 2, _SIGMA2_FLOOR)
 
 
+def _alloc_em_arrays(g: int, n: int) -> tuple[np.ndarray, ...]:
+    """(g, n) E-step, its per-vertex max and total, (n, g) responsibilities."""
+    return np.empty((g, n)), np.empty(n), np.empty(n), np.empty((n, g))
+
+
 def em_fit(samples: VertexSamples, g: int, cfg: HitmixConfig | None = None) -> MixtureFit:
     """EM for a g-component lognormal mixture over grouped vertex samples.
 
@@ -159,14 +176,13 @@ def em_fit(samples: VertexSamples, g: int, cfg: HitmixConfig | None = None) -> M
     if g > n:
         raise ValueError(f"g = {g} exceeds number of vertices ({n})")
 
-    stats = np.column_stack([np.ones(n), samples.s1, samples.s2])
-    stats_t = np.ascontiguousarray(stats.T)
+    stats, stats_t, sorted_stats = samples.em_stats
+    joint, top, total, resp = samples._em_arrays.pop(g, None) or _alloc_em_arrays(g, n)
     log_jacobian = -float(samples.s1.sum())
 
     # Deterministic init: quantile split on the per-vertex mean of log t.
-    order = np.argsort(samples.s1, kind="stable")
     mus, sigma2s = _log_normal_mle(
-        np.array([stats[group].sum(axis=0) for group in np.array_split(order, g)]), m)
+        np.array([part.sum(axis=0) for part in np.array_split(sorted_stats, g)]), m)
     pis = np.full(g, 1.0 / g)
 
     ll_history: list[float] = []
@@ -175,18 +191,20 @@ def em_fit(samples: VertexSamples, g: int, cfg: HitmixConfig | None = None) -> M
     it = 0
     while it < cfg.em_max_iters:
         it += 1
-        # E-step in log space, shifted by the per-vertex maximum.
+        # E-step in log space, shifted by the per-vertex maximum, in place.
         w = np.array([-0.5 * m * np.log(2.0 * np.pi * sigma2s) - m * mus ** 2 / (2.0 * sigma2s),
                       mus / sigma2s,
                       -0.5 / sigma2s])
-        joint = w.T @ stats_t
+        np.matmul(w.T, stats_t, out=joint)
         joint += np.log(pis)[:, None]
-        top = joint.max(axis=0)
+        np.max(joint, axis=0, out=top)
         joint -= top
         np.exp(joint, out=joint)
-        total = joint.sum(axis=0)
-        resp = np.divide(joint, total, out=joint)
-        ll_new = float((top + np.log(total)).sum()) + log_jacobian
+        np.sum(joint, axis=0, out=total)
+        joint /= total
+        np.log(total, out=total)
+        total += top
+        ll_new = float(total.sum()) + log_jacobian
         ll_history.append(ll_new)
         if np.isfinite(ll) and abs(ll_new - ll) <= cfg.em_rel_tol * max(1.0, abs(ll)):
             ll = ll_new
@@ -197,16 +215,16 @@ def em_fit(samples: VertexSamples, g: int, cfg: HitmixConfig | None = None) -> M
         # M-step. Under OpenBLAS this form rounds like the product over an
         # (n, g) layout that fixed-seed outputs were made with; resp @ stats
         # rounds differently at g = 2 and 3.
-        sums = (stats.T @ resp.T).T
+        sums = (stats.T @ joint.T).T
         nk = sums[:, 0]
         if (nk / n < _COLLAPSE_EPS).any():
             raise EmCollapseError(f"EM component collapsed (g={g}, iter={it})")
         mus, sigma2s = _log_normal_mle(sums, m)
         pis = nk / n
 
+    resp[...] = joint.T
     components = [LognormalParams(float(mus[k]), float(sigma2s[k])) for k in range(g)]
-    return MixtureFit(g, components, pis, np.ascontiguousarray(resp.T), ll, ll_history,
-                      it, converged)
+    return MixtureFit(g, components, pis, resp, ll, ll_history, it, converged)
 
 
 def bic(fit: MixtureFit, n_vertices: int, m: int) -> float:
@@ -231,21 +249,36 @@ def hitmix(graph: Graph, seeds: SeedSet,
     reach = moments.restrict_reachable()
     samples = draw_pseudo_samples(reach, cfg.m, cfg.rng_seed)
 
+    n = reach.vertices.size
+    feasible = [g for g in cfg.g_candidates if g <= n]
+    # The fits are independent; NumPy and OpenBLAS release the GIL, so they run
+    # on threads. Every large array is made here first: arrays freed in a
+    # worker thread stay in its malloc arena and raise the peak RSS.
+    samples.em_stats  # computed once, before the threads share it
+    samples._em_arrays.update((g, _alloc_em_arrays(g, n)) for g in feasible)
+    # Each item of results, called, returns the fit of its g or raises what EM raised.
+    workers = min(len(feasible), os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(workers) as pool:
+            results = iter([pool.submit(em_fit, samples, g, cfg).result for g in feasible])
+    else:
+        results = (partial(em_fit, samples, g, cfg) for g in feasible)
+
     fits: dict[int, MixtureFit] = {}
     bic_by_g: dict[int, float] = {}
     collapse = None
     for g in cfg.g_candidates:
-        if g > reach.vertices.size:
+        if g > n:
             log.warning("skipping g=%d: more components than vertices", g)
             continue
         try:
-            fit = em_fit(samples, g, cfg)
+            fit = next(results)()
         except EmCollapseError as exc:
             log.warning("skipping g=%d: %s", g, exc)
             collapse = exc
             continue
         fits[g] = fit
-        bic_by_g[g] = bic(fit, reach.vertices.size, cfg.m)
+        bic_by_g[g] = bic(fit, n, cfg.m)
     if not fits:
         raise collapse or ValueError("no feasible g candidate for this instance")
 

@@ -51,8 +51,8 @@ _BACKWARD_ERROR_FLOOR = 16 * np.finfo(np.float64).eps
 
 def _done(r_norm: float, x: np.ndarray, b_norm: float, cfg: CgConfig) -> bool:
     """Residual norm within cfg.rel_tol, or at the backward-error floor."""
-    return (r_norm / b_norm <= cfg.rel_tol or r_norm <= _BACKWARD_ERROR_FLOOR
-            * (2.0 * math.sqrt(float(x @ x)) + b_norm))
+    return bool(r_norm / b_norm <= cfg.rel_tol or r_norm <= _BACKWARD_ERROR_FLOOR
+                * (2.0 * math.sqrt(float(x @ x)) + b_norm))
 
 
 def conjugate_gradient(h: sp.csr_matrix, b: np.ndarray,
@@ -99,11 +99,13 @@ def conjugate_gradient(h: sp.csr_matrix, b: np.ndarray,
         if not np.isfinite(rr_new):
             raise NonSpdError("non-finite residual in conjugate gradient")
         # The recursive residual drifts from the true one in finite precision,
-        # so it only triggers the check of the true residual.
-        if _done(math.sqrt(rr_new), x, b_norm, cfg):
+        # so it only triggers the check of the true residual. At exactly 0 it
+        # leaves no next direction (p = 0), so CG stops there either way.
+        if _done(math.sqrt(rr_new), x, b_norm, cfg) or rr_new == 0.0:
             true_norm = float(np.linalg.norm(b - h @ x))
-            if _done(true_norm, x, b_norm, cfg):
-                return x, CgStats(k, true_norm / b_norm, True)
+            converged = _done(true_norm, x, b_norm, cfg)
+            if converged or rr_new == 0.0:
+                return x, CgStats(k, true_norm / b_norm, converged)
         p = r + (rr_new / rr) * p
         rr = rr_new
 

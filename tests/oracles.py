@@ -2,10 +2,11 @@
 
 The dense and sparse-LU solves and the Monte Carlo walk simulator check the
 CG moments of `hitmix.moments.compute_moments` by routes that share no code
-with it.
+with it; the breadth-first search checks `hitmix.graph.reachable_from`.
 """
 
 import io
+from collections import deque
 
 import numpy as np
 import scipy.sparse as sp
@@ -50,6 +51,23 @@ def splu_moments(graph, seeds):
     m1 = lu.solve(np.ones(idx.size))
     m2 = lu.solve(1.0 + 2.0 * (p_sub @ m1))
     return m1, m2 - m1 ** 2
+
+
+def bfs_reachable(n_vertices: int, u, v, seeds: SeedSet) -> np.ndarray:
+    """Breadth-first search over the edge pairs from every seed: is each
+    vertex of seeds.complement reached?"""
+    neighbours = [[] for _ in range(n_vertices)]
+    for a, b in zip(u, v):
+        neighbours[a].append(b)
+        neighbours[b].append(a)
+    seen = set(seeds.members)
+    queue = deque(seen)
+    while queue:
+        for b in neighbours[queue.popleft()]:
+            if b not in seen:
+                seen.add(b)
+                queue.append(b)
+    return np.array([w in seen for w in seeds.complement.tolist()], dtype=bool)
 
 
 def simulate_hitting_times(graph: Graph, seeds: SeedSet, start_vertex: int,

@@ -5,12 +5,14 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 import hitmix.graph
 from hitmix.graph import (EdgeListParseError, Graph, SeedSet, load_edge_list,
                           load_seed_file, reachable_from)
+from oracles import bfs_reachable
 
 
 def load(text):
@@ -212,6 +214,46 @@ class TestReachability:
         g = load("0 1\n2 3")
         mask = reachable_from(g, SeedSet.from_members([0, 1], 4))
         assert mask.tolist() == [False, False]
+
+
+@st.composite
+def multigraph_with_seeds(draw):
+    """(n, u, v, seed members, component count) of a multigraph with 1 to 6
+    components: a random spanning tree in each, plus extra pairs that repeat
+    edges and add self-loops; a one-vertex component may stay isolated."""
+    sizes = draw(st.lists(st.integers(1, 8), min_size=1, max_size=6))
+    n = sum(sizes)
+    assume(n >= 2)
+    ids = draw(st.permutations(range(n)))
+    u, v, start = [], [], 0
+    for size in sizes:
+        for k in range(1, size):
+            u.append(start + k)
+            v.append(start + draw(st.integers(0, k - 1)))
+        for a, b in draw(st.lists(st.tuples(st.integers(0, size - 1),
+                                            st.integers(0, size - 1)), max_size=6)):
+            u.append(start + a)
+            v.append(start + b)
+        start += size
+    edges = [(ids[a], ids[b]) for a, b in zip(u, v)]
+    edges += draw(st.lists(st.sampled_from(edges), max_size=4)) if edges else []
+    seeds = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
+    return n, [a for a, _ in edges], [b for _, b in edges], seeds, len(sizes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=multigraph_with_seeds())
+def test_reachable_from_matches_bfs(case):
+    n, u, v, members, n_components = case
+    g = Graph.from_edges(n, u, v)
+    seeds = SeedSet.from_members(members, n)
+    mask = reachable_from(g, seeds)
+    assert mask.tolist() == bfs_reachable(n, u, v, seeds).tolist()
+    # The undirected labelling, which builds A + A^T first, gives the same mask.
+    count, labels = connected_components(g.adjacency, directed=False)
+    assert count == n_components
+    undirected = np.isin(labels[seeds.complement], labels[sorted(members)])
+    assert mask.tolist() == undirected.tolist()
 
 
 def test_load_seed_file():

@@ -1,4 +1,6 @@
 import io
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -304,6 +306,35 @@ class TestHitmix:
         assert set(res.fits) == set(res.bic_by_g) == {2, 4, 5}
         warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
         assert warnings == ["skipping g=3: EM component collapsed (g=3, iter=1)"]
+
+    def test_threaded_fits_equal_serial_fits(self, monkeypatch):
+        # Four fit threads on fewer cores, switching often: each fit must still
+        # equal, byte for byte, em_fit called alone on the same statistics.
+        from hitmix.sbm import SbmConfig, sample_sbm, sample_hitting_set
+        rng = np.random.default_rng(7)
+        graph, labels = sample_sbm(SbmConfig(2, 1000, 0.012, 0.004), rng)
+        seeds = sample_hitting_set(labels, 20, rng)
+        cfg = HitmixConfig(g_candidates=(2, 3, 4, 5), rng_seed=3)
+        reach = compute_moments(graph, seeds, cfg.cg).restrict_reachable()
+        samples = draw_pseudo_samples(reach, cfg.m, cfg.rng_seed)
+        serial = {g: em_fit(samples, g, cfg) for g in cfg.g_candidates}
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                fits = hitmix(graph, seeds, cfg).fits
+                assert list(fits) == list(cfg.g_candidates)
+                for g, fit in fits.items():
+                    want = serial[g]
+                    assert fit.responsibilities.tobytes() == want.responsibilities.tobytes()
+                    assert fit.responsibilities.flags.c_contiguous
+                    assert np.array(fit.ll_history).tobytes() == np.array(want.ll_history).tobytes()
+                    assert fit.weights.tobytes() == want.weights.tobytes()
+                    assert fit.components == want.components
+                    assert (fit.iterations, fit.converged) == (want.iterations, want.converged)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestHitmixConfig:

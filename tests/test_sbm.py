@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import hitmix.sbm
-from hitmix.mixture import EmCollapseError
+from hitmix.mixture import EmCollapseError, HitmixConfig
 from hitmix.sbm import (SbmConfig, SimulationSpec, _triangle_pairs, run_simulation,
                         runs_csv_lines, sample_hitting_set, sample_sbm,
                         summary_csv_lines)
@@ -130,6 +130,14 @@ class TestRunSimulation:
         a = run_simulation(small_spec())
         b = run_simulation(small_spec(workers=2))
         assert runs_csv_lines(a) == runs_csv_lines(b)
+
+    def test_worker_processes_with_fit_threads_do_not_change_results(self):
+        # Each worker process fits its g candidates on threads of its own.
+        cfg = HitmixConfig(g_candidates=(2, 3))
+        a = run_simulation(small_spec(hitmix_cfg=cfg))
+        b = run_simulation(small_spec(hitmix_cfg=cfg, workers=2))
+        assert runs_csv_lines(a) == runs_csv_lines(b)
+        assert summary_csv_lines(a) == summary_csv_lines(b)
 
     def test_degenerate_condition_recorded_as_failure(self):
         # p_in = p_out = 0: every run errors (no reachable vertices)

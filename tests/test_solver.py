@@ -131,7 +131,7 @@ class TestConjugateGradient:
         b = np.sqrt(g.degrees[1:].astype(float))
         x, stats = conjugate_gradient(h, b)
         true_rel = np.linalg.norm(b - h @ x) / np.linalg.norm(b)
-        assert stats.converged and stats.final_rel_residual > 1e-10
+        assert stats.converged is True and stats.final_rel_residual > 1e-10
         assert stats.final_rel_residual == pytest.approx(true_rel, rel=1e-12)
         backward = np.linalg.norm(b - h @ x) / (
             2 * np.linalg.norm(x) + np.linalg.norm(b))
@@ -148,7 +148,7 @@ class TestConjugateGradient:
     def test_stops_at_iteration_budget(self, n, budget, monkeypatch):
         # With the stop test never met, CG runs max(1000, 10 (n - 1)) iterations
         # and reports its true residual. On path3 the recursive residual
-        # underflows to zero within 40 iterations and CG breaks down instead.
+        # underflows to zero within 40 iterations, where CG stops instead.
         monkeypatch.setattr(hitmix.solver, "_done", lambda *args: False)
         g = Graph.from_edges(n, np.arange(n - 1), np.arange(1, n))
         h = laplacian(g, SeedSet.from_members([0], n))
@@ -157,6 +157,24 @@ class TestConjugateGradient:
         assert stats.iterations == budget and not stats.converged
         true_rel = np.linalg.norm(b - h @ x) / np.linalg.norm(b)
         assert stats.final_rel_residual == true_rel
+
+    def test_zero_recursive_residual_stops(self, monkeypatch):
+        # Seeded at one end of a 2-vertex path, H = [1]: the first step leaves
+        # a recursive residual of exactly 0 and then p = 0. With that first stop
+        # check rejected, CG once took another step and raised NonSpdError.
+        real_done = hitmix.solver._done
+        checks = []
+
+        def reject_first(*args):
+            checks.append(args)
+            return len(checks) > 1 and real_done(*args)
+
+        monkeypatch.setattr(hitmix.solver, "_done", reject_first)
+        g = Graph.from_edges(2, [0], [1])
+        x, stats = conjugate_gradient(laplacian(g, SeedSet.from_members([0], 2)), np.ones(1))
+        # E_k T = k (2 (n - 1) - k) = 1 at k = 1; here b = sqrt(d) = 1, so x = E T.
+        assert x.tolist() == [1.0]
+        assert stats.converged and stats.iterations == 1 and stats.final_rel_residual == 0.0
 
 
 class TestCgConfig:

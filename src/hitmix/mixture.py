@@ -43,8 +43,6 @@ class VertexSamples:
     s1: np.ndarray         # sum_j log t_ij
     s2: np.ndarray         # sum_j (log t_ij)^2
     m: int
-    # EM work arrays per g, made by hitmix() before its fit threads start.
-    _em_arrays: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def em_stats(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -59,7 +57,7 @@ class MixtureFit:
     g: int
     components: list[LognormalParams]
     weights: np.ndarray              # pi_k, sums to 1
-    responsibilities: np.ndarray     # (n_vertices, g), rows sum to 1
+    responsibilities: np.ndarray     # (n_vertices, g) view, not C-contiguous; rows sum to 1
     log_likelihood: float
     ll_history: list[float]
     iterations: int
@@ -81,8 +79,9 @@ class HitmixConfig:
             raise ValueError("m must be >= 1")
         if not (0.0 <= self.tau <= 1.0):
             raise ValueError("tau must lie in [0, 1]")
-        if any(g < 2 for g in self.g_candidates):
-            raise ValueError("all g candidates must be >= 2")
+        gs = self.g_candidates
+        if not gs or min(gs) < 2 or len(set(gs)) < len(gs):
+            raise ValueError("g candidates must be one or more distinct integers >= 2")
         if self.em_max_iters < 1:
             raise ValueError("em_max_iters must be >= 1")
 
@@ -155,18 +154,18 @@ def _log_normal_mle(sums: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     return mu, np.maximum(sums[..., 2] / n_obs - mu ** 2, _SIGMA2_FLOOR)
 
 
-def _alloc_em_arrays(g: int, n: int) -> tuple[np.ndarray, ...]:
-    """(g, n) E-step, its per-vertex max and total, (n, g) responsibilities."""
-    return np.empty((g, n)), np.empty(n), np.empty(n), np.empty((n, g))
-
-
-def em_fit(samples: VertexSamples, g: int, cfg: HitmixConfig | None = None) -> MixtureFit:
+def em_fit(samples: VertexSamples, g: int, cfg: HitmixConfig | None = None, *,
+           work: np.ndarray | None = None) -> MixtureFit:
     """EM for a g-component lognormal mixture over grouped vertex samples.
 
     log prod_j f(t_ij; theta_k) = -s1_i + [1, s1_i, s2_i] . w_k, so the E-step
     is one (g x 3) @ (3 x n) product, reduced over g rows into (g, n)
     responsibilities, and the M-step reads resp @ [1, s1, s2]. Raises
     EmCollapseError at the first M-step that leaves a component weight below 1e-12.
+
+    The E-step runs in work, a C-contiguous float64 (g + 2, n) array, made here
+    if None: rows [:g] hold it and then the responsibilities, returned as the
+    view work[:g].T; row g holds the per-vertex max and row g + 1 the total.
     """
     if cfg is None:
         cfg = HitmixConfig()
@@ -176,8 +175,11 @@ def em_fit(samples: VertexSamples, g: int, cfg: HitmixConfig | None = None) -> M
     if g > n:
         raise ValueError(f"g = {g} exceeds number of vertices ({n})")
 
+    work = np.empty((g + 2, n)) if work is None else work
+    if work.shape != (g + 2, n) or work.dtype != np.float64 or not work.flags.c_contiguous:
+        raise ValueError(f"work must be a C-contiguous float64 array of shape {(g + 2, n)}")
+    joint, top, total = work[:g], work[g], work[g + 1]
     stats, stats_t, sorted_stats = samples.em_stats
-    joint, top, total, resp = samples._em_arrays.pop(g, None) or _alloc_em_arrays(g, n)
     log_jacobian = -float(samples.s1.sum())
 
     # Deterministic init: quantile split on the per-vertex mean of log t.
@@ -222,9 +224,8 @@ def em_fit(samples: VertexSamples, g: int, cfg: HitmixConfig | None = None) -> M
         mus, sigma2s = _log_normal_mle(sums, m)
         pis = nk / n
 
-    resp[...] = joint.T
     components = [LognormalParams(float(mus[k]), float(sigma2s[k])) for k in range(g)]
-    return MixtureFit(g, components, pis, resp, ll, ll_history, it, converged)
+    return MixtureFit(g, components, pis, joint.T, ll, ll_history, it, converged)
 
 
 def bic(fit: MixtureFit, n_vertices: int, m: int) -> float:
@@ -250,29 +251,27 @@ def hitmix(graph: Graph, seeds: SeedSet,
     samples = draw_pseudo_samples(reach, cfg.m, cfg.rng_seed)
 
     n = reach.vertices.size
-    feasible = [g for g in cfg.g_candidates if g <= n]
     # The fits are independent; NumPy and OpenBLAS release the GIL, so they run
-    # on threads. Every large array is made here first: arrays freed in a
+    # on threads. Each fit's work array is made here first: arrays freed in a
     # worker thread stay in its malloc arena and raise the peak RSS.
     samples.em_stats  # computed once, before the threads share it
-    samples._em_arrays.update((g, _alloc_em_arrays(g, n)) for g in feasible)
-    # Each item of results, called, returns the fit of its g or raises what EM raised.
-    workers = min(len(feasible), os.cpu_count() or 1)
+    # calls[g](), for each feasible g, returns its fit or raises what EM raised.
+    calls = {g: partial(em_fit, samples, g, cfg, work=np.empty((g + 2, n)))
+             for g in cfg.g_candidates if g <= n}
+    workers = min(len(calls), os.cpu_count() or 1)
     if workers > 1:
         with ThreadPoolExecutor(workers) as pool:
-            results = iter([pool.submit(em_fit, samples, g, cfg).result for g in feasible])
-    else:
-        results = (partial(em_fit, samples, g, cfg) for g in feasible)
+            calls = {g: pool.submit(call).result for g, call in calls.items()}
 
     fits: dict[int, MixtureFit] = {}
     bic_by_g: dict[int, float] = {}
     collapse = None
     for g in cfg.g_candidates:
-        if g > n:
+        if g not in calls:
             log.warning("skipping g=%d: more components than vertices", g)
             continue
         try:
-            fit = next(results)()
+            fit = calls[g]()
         except EmCollapseError as exc:
             log.warning("skipping g=%d: %s", g, exc)
             collapse = exc

@@ -220,6 +220,23 @@ def test_sbm_sim_hitting_set_larger_than_block_fails_before_any_run(tmp_path, ca
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize("command", ["expand", "sbm-sim"])
+def test_repeated_clusters_fail_before_any_solve(workdir, caplog, monkeypatch, command):
+    calls = []
+    monkeypatch.setattr(hitmix.mixture, "compute_moments", lambda *a: calls.append(a))
+    monkeypatch.setattr(hitmix.sbm, "sample_sbm", lambda *a: calls.append(a))
+    (workdir / "sim.cfg").write_text("sweep = p_in\nvalues = 0.3\nclusters = 2,2\nseed = 1\n")
+    args = {"expand": ["--graph", str(workdir / "g.txt"), "--seeds", str(workdir / "s.txt"),
+                       "--clusters", "2,2", "--seed", "1"],
+            "sbm-sim": ["--config", str(workdir / "sim.cfg")]}[command]
+    out = workdir / "r"
+    assert run([command, *args, "--out", str(out)]) == 2
+    assert [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR] \
+        == ["g candidates must be one or more distinct integers >= 2"]
+    assert calls == []
+    assert not out.exists()
+
+
 def test_key_error_is_a_bug_not_an_input_error(workdir, monkeypatch):
     monkeypatch.setattr(hitmix.cli, "compute_moments", _raise(KeyError("bug")))
     with pytest.raises(KeyError):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import lognorm
 
-from hitmix.graph import SeedSet, load_edge_list
+from hitmix.graph import Graph, SeedSet, load_edge_list
 from hitmix.mixture import (EmCollapseError, HitmixConfig, MomentTable,
                             VertexSamples, bic, component_means,
                             draw_pseudo_samples, em_fit, hitmix, lognormal_mom)
@@ -205,6 +205,26 @@ class TestEmFit:
         fit = em_fit(vs, 3)
         assert fit.converged and fit.log_likelihood > -6000
 
+    def test_fit_runs_in_the_given_work_array(self):
+        vs = synthetic_samples([0.0, 2.0, 4.0], 0.3, 40, 15, seed=2)
+        g, n = 3, vs.s1.size
+        work = np.empty((g + 2, n))
+        fit, want = em_fit(vs, g, work=work), em_fit(vs, g)
+        assert np.shares_memory(fit.responsibilities, work)
+        assert fit.responsibilities.shape == (n, g)
+        assert fit.responsibilities.tobytes() == want.responsibilities.tobytes()
+        assert np.array(fit.ll_history).tobytes() == np.array(want.ll_history).tobytes()
+        assert fit.weights.tobytes() == want.weights.tobytes()
+        assert fit.components == want.components
+
+    @pytest.mark.parametrize("shape, dtype, order", [
+        ((4, 120), np.float64, "C"), ((5, 120), np.float32, "C"), ((5, 120), np.float64, "F"),
+    ], ids=["g+1 rows", "float32", "fortran"])
+    def test_unfit_work_array_errors(self, shape, dtype, order):
+        vs = synthetic_samples([0.0, 2.0, 4.0], 0.3, 40, 15, seed=2)
+        with pytest.raises(ValueError, match="work must be"):
+            em_fit(vs, 3, work=np.empty(shape, dtype, order))
+
     def test_too_many_components_errors(self):
         vs = synthetic_samples([0.0], 0.1, 3, 5, seed=0)
         with pytest.raises(ValueError):
@@ -292,10 +312,10 @@ class TestHitmix:
         assert set(res.bic_by_g) == {2, 3}
 
     def test_collapsed_g_is_skipped(self, monkeypatch, caplog):
-        def collapse_at_3(samples, g, cfg=None):
+        def collapse_at_3(samples, g, cfg=None, work=None):
             if g == 3:
                 raise EmCollapseError("EM component collapsed (g=3, iter=1)")
-            return em_fit(samples, g, cfg)     # this module's unpatched binding
+            return em_fit(samples, g, cfg, work=work)     # this module's unpatched binding
 
         monkeypatch.setattr("hitmix.mixture.em_fit", collapse_at_3)
         rng = np.random.default_rng(0)
@@ -328,13 +348,50 @@ class TestHitmix:
                 for g, fit in fits.items():
                     want = serial[g]
                     assert fit.responsibilities.tobytes() == want.responsibilities.tobytes()
-                    assert fit.responsibilities.flags.c_contiguous
+                    assert fit.responsibilities.T.flags.c_contiguous
                     assert np.array(fit.ll_history).tobytes() == np.array(want.ll_history).tobytes()
                     assert fit.weights.tobytes() == want.weights.tobytes()
                     assert fit.components == want.components
                     assert (fit.iterations, fit.converged) == (want.iterations, want.converged)
         finally:
             sys.setswitchinterval(interval)
+
+    def test_real_collapses_in_fit_threads_are_skipped(self, monkeypatch, caplog):
+        # A star with the seed at its centre gives 5,000 reachable leaves; their
+        # statistics are replaced by groups on which g = 4 and 5 collapse at once.
+        graph = Graph.from_edges(5001, np.zeros(5000, dtype=np.int64), np.arange(1, 5001))
+        samples = three_separated_groups()
+        monkeypatch.setattr("hitmix.mixture.draw_pseudo_samples",
+                            lambda *args: three_separated_groups())
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        res = hitmix(graph, SeedSet.from_members([0], 5001), HitmixConfig())
+        assert set(res.fits) == {2, 3}
+        assert res.selected_g == 3
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert warnings == [f"skipping g={g}: EM component collapsed (g={g}, iter=1)"
+                            for g in (4, 5)]
+        for g, fit in res.fits.items():
+            want = em_fit(samples, g)
+            assert fit.responsibilities.tobytes() == want.responsibilities.tobytes()
+            assert np.array(fit.ll_history).tobytes() == np.array(want.ll_history).tobytes()
+            assert fit.weights.tobytes() == want.weights.tobytes()
+            assert fit.components == want.components
+
+    def test_each_fit_gets_a_work_array(self, monkeypatch):
+        shapes = {}
+
+        def recording_em_fit(samples, g, cfg=None, work=None):
+            shapes[g] = (getattr(work, "shape", None), samples.s1.size)
+            return em_fit(samples, g, cfg, work=work)
+
+        monkeypatch.setattr("hitmix.mixture.em_fit", recording_em_fit)
+        rng = np.random.default_rng(0)
+        from hitmix.sbm import SbmConfig, sample_sbm, sample_hitting_set
+        graph, labels = sample_sbm(SbmConfig(2, 60, 0.3, 0.02), rng)
+        seeds = sample_hitting_set(labels, 15, rng)
+        hitmix(graph, seeds, HitmixConfig(rng_seed=4))
+        assert set(shapes) == {2, 3, 4, 5}
+        assert all(shape == (g + 2, n) for g, (shape, n) in shapes.items())
 
 
 class TestHitmixConfig:
@@ -345,3 +402,8 @@ class TestHitmixConfig:
             HitmixConfig(tau=1.5)
         with pytest.raises(ValueError):
             HitmixConfig(g_candidates=(1, 2))
+
+    @pytest.mark.parametrize("g_candidates", [(), (2, 2), (2, 3, 2)])
+    def test_empty_or_repeated_g_candidates_error(self, g_candidates):
+        with pytest.raises(ValueError, match="distinct"):
+            HitmixConfig(g_candidates=g_candidates)

@@ -185,8 +185,9 @@ def reachable_from(graph: Graph, seeds: SeedSet) -> np.ndarray:
     """Read-only bool mask over seeds.complement: does the vertex's component
     contain a seed? The adjacency is symmetric, so its strong components are
     the undirected ones, found without the transpose that directed=False adds."""
-    _, labels = connected_components(graph.adjacency, directed=True, connection="strong")
-    seed_components = np.unique(labels[list(seeds.members)])
-    reachable = np.isin(labels[seeds.complement], seed_components)
+    count, labels = connected_components(graph.adjacency, directed=True, connection="strong")
+    seeded = np.zeros(count, dtype=bool)
+    seeded[labels[list(seeds.members)]] = True
+    reachable = seeded[labels[seeds.complement]]
     reachable.flags.writeable = False
     return reachable

@@ -9,10 +9,11 @@ selection -> membership threshold.
 from __future__ import annotations
 
 import logging
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property, partial, reduce
 
 import numpy as np
 
@@ -146,12 +147,11 @@ def draw_pseudo_samples(moments: MomentTable, m: int, rng_seed: int) -> VertexSa
     return VertexSamples(s1, s2, m)
 
 
-def _log_normal_mle(sums: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """mu and floored sigma2 of log t from rows of (vertex count, sum s1, sum s2),
-    each sum possibly weighted by responsibilities."""
-    n_obs = m * sums[..., 0]
-    mu = sums[..., 1] / n_obs
-    return mu, np.maximum(sums[..., 2] / n_obs - mu ** 2, _SIGMA2_FLOOR)
+def _log_normal_mle(count: float, sum1: float, sum2: float, m: int) -> tuple[float, float]:
+    """mu and floored sigma2 of log t from a (weighted) vertex count and s1, s2 sums."""
+    n_obs = m * count
+    mu = sum1 / n_obs
+    return mu, max(sum2 / n_obs - mu * mu, _SIGMA2_FLOOR)
 
 
 def em_fit(samples: VertexSamples, g: int, cfg: HitmixConfig | None = None, *,
@@ -166,6 +166,11 @@ def em_fit(samples: VertexSamples, g: int, cfg: HitmixConfig | None = None, *,
     The E-step runs in work, a C-contiguous float64 (g + 2, n) array, made here
     if None: rows [:g] hold it and then the responsibilities, returned as the
     view work[:g].T; row g holds the per-vertex max and row g + 1 the total.
+
+    The g-sized step (E-step weights, M-step, mixture weights) runs on Python
+    floats, and the max and total over the g rows are row-order chains; both
+    round as NumPy's axis-0 forms do. Every log and exp stays in NumPy, whose
+    SIMD loops (AVX-512) need not round like math's.
     """
     if cfg is None:
         cfg = HitmixConfig()
@@ -183,49 +188,45 @@ def em_fit(samples: VertexSamples, g: int, cfg: HitmixConfig | None = None, *,
     log_jacobian = -float(samples.s1.sum())
 
     # Deterministic init: quantile split on the per-vertex mean of log t.
-    mus, sigma2s = _log_normal_mle(
-        np.array([part.sum(axis=0) for part in np.array_split(sorted_stats, g)]), m)
-    pis = np.full(g, 1.0 / g)
+    params = [_log_normal_mle(*part.sum(axis=0).tolist(), m)
+              for part in np.array_split(sorted_stats, g)]
+    pis = [1.0 / g] * g
 
     ll_history: list[float] = []
     ll = -np.inf
-    converged = False
-    it = 0
-    while it < cfg.em_max_iters:
-        it += 1
-        # E-step in log space, shifted by the per-vertex maximum, in place.
-        w = np.array([-0.5 * m * np.log(2.0 * np.pi * sigma2s) - m * mus ** 2 / (2.0 * sigma2s),
-                      mus / sigma2s,
-                      -0.5 / sigma2s])
-        np.matmul(w.T, stats_t, out=joint)
+    for it in range(1, cfg.em_max_iters + 1):
+        # E-step in log space, shifted by the per-vertex maximum, in place. w_t
+        # keeps the Fortran order that fixed-seed outputs were made with.
+        log_norm = np.log([2.0 * np.pi * s2 for _, s2 in params]).tolist()
+        w_t = np.array([[-0.5 * m * c - m * (mu * mu) / (2.0 * s2), mu / s2, -0.5 / s2]
+                        for (mu, s2), c in zip(params, log_norm)], order="F")
+        np.matmul(w_t, stats_t, out=joint)
         joint += np.log(pis)[:, None]
-        np.max(joint, axis=0, out=top)
+        reduce(partial(np.maximum, out=top), joint)
         joint -= top
         np.exp(joint, out=joint)
-        np.sum(joint, axis=0, out=total)
+        reduce(partial(np.add, out=total), joint)
         joint /= total
         np.log(total, out=total)
         total += top
         ll_new = float(total.sum()) + log_jacobian
         ll_history.append(ll_new)
-        if np.isfinite(ll) and abs(ll_new - ll) <= cfg.em_rel_tol * max(1.0, abs(ll)):
-            ll = ll_new
-            converged = True
-            break
+        converged = math.isfinite(ll) and abs(ll_new - ll) <= cfg.em_rel_tol * max(1.0, abs(ll))
         ll = ll_new
+        if converged:
+            break
 
         # M-step. Under OpenBLAS this form rounds like the product over an
         # (n, g) layout that fixed-seed outputs were made with; resp @ stats
         # rounds differently at g = 2 and 3.
-        sums = (stats.T @ joint.T).T
-        nk = sums[:, 0]
-        if (nk / n < _COLLAPSE_EPS).any():
+        sums = (stats.T @ joint.T).T.tolist()
+        pis = [count / n for count, _, _ in sums]
+        if any(pi < _COLLAPSE_EPS for pi in pis):
             raise EmCollapseError(f"EM component collapsed (g={g}, iter={it})")
-        mus, sigma2s = _log_normal_mle(sums, m)
-        pis = nk / n
+        params = [_log_normal_mle(*row, m) for row in sums]
 
-    components = [LognormalParams(float(mus[k]), float(sigma2s[k])) for k in range(g)]
-    return MixtureFit(g, components, pis, joint.T, ll, ll_history, it, converged)
+    components = [LognormalParams(mu, s2) for mu, s2 in params]
+    return MixtureFit(g, components, np.array(pis), joint.T, ll, ll_history, it, converged)
 
 
 def bic(fit: MixtureFit, n_vertices: int, m: int) -> float:
@@ -258,35 +259,32 @@ def hitmix(graph: Graph, seeds: SeedSet,
     # calls[g](), for each feasible g, returns its fit or raises what EM raised.
     calls = {g: partial(em_fit, samples, g, cfg, work=np.empty((g + 2, n)))
              for g in cfg.g_candidates if g <= n}
-    workers = min(len(calls), os.cpu_count() or 1)
+    # os.cpu_count() reads sysfs on every call, so one feasible g skips it.
+    workers = min(len(calls), os.cpu_count() or 1) if len(calls) > 1 else 1
     if workers > 1:
         with ThreadPoolExecutor(workers) as pool:
             calls = {g: pool.submit(call).result for g, call in calls.items()}
 
     fits: dict[int, MixtureFit] = {}
-    bic_by_g: dict[int, float] = {}
     collapse = None
     for g in cfg.g_candidates:
         if g not in calls:
             log.warning("skipping g=%d: more components than vertices", g)
             continue
         try:
-            fit = calls[g]()
+            fits[g] = calls[g]()
         except EmCollapseError as exc:
             log.warning("skipping g=%d: %s", g, exc)
             collapse = exc
-            continue
-        fits[g] = fit
-        bic_by_g[g] = bic(fit, n, cfg.m)
     if not fits:
         raise collapse or ValueError("no feasible g candidate for this instance")
+    bic_by_g = {g: bic(fit, n, cfg.m) for g, fit in fits.items()}
 
     selected_g = min(bic_by_g, key=lambda g: (bic_by_g[g], g))
     fit = fits[selected_g]
     goal = int(np.argmin(component_means(fit)))
 
-    n_c = moments.vertices.size
-    posterior = np.zeros(n_c)
+    posterior = np.zeros(moments.vertices.size)
     posterior[moments.reachable] = fit.responsibilities[:, goal]
     labels = posterior > cfg.tau
     return MembershipResult(moments.vertices, posterior, labels, moments.reachable,

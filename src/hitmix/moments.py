@@ -50,7 +50,8 @@ def restricted_laplacian(graph: Graph, vertices: np.ndarray) -> sp.csr_matrix:
         raise ValueError("subset contains an isolated vertex (degree 0); "
                          "filter unreachable vertices first")
     inv_sqrt_deg = 1.0 / np.sqrt(deg)
-    a = graph.adjacency[vertices][:, vertices].astype(np.float64)
+    a = graph.adjacency[vertices][:, vertices]
+    a.data = a.data.astype(np.float64)  # not a.astype: it copies indices and indptr too
     a.data *= np.repeat(inv_sqrt_deg, np.diff(a.indptr))
     a.data *= inv_sqrt_deg[a.indices]
     return sp.identity(vertices.size, format="csr") - a

@@ -2,7 +2,9 @@
 
 The dense and sparse-LU solves and the Monte Carlo walk simulator check the
 CG moments of `hitmix.moments.compute_moments` by routes that share no code
-with it; the breadth-first search checks `hitmix.graph.reachable_from`.
+with it; the breadth-first search checks `hitmix.graph.reachable_from`;
+`reference_em_fit` is EM with its parameter step in NumPy arrays, which
+`hitmix.mixture.em_fit` must equal bit for bit.
 """
 
 import io
@@ -13,6 +15,8 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from hitmix.graph import Graph, SeedSet, load_edge_list, reachable_from
+from hitmix.mixture import (EmCollapseError, HitmixConfig, LognormalParams,
+                            MixtureFit, VertexSamples)
 from hitmix.sbm import SbmConfig, sample_sbm
 
 
@@ -68,6 +72,64 @@ def bfs_reachable(n_vertices: int, u, v, seeds: SeedSet) -> np.ndarray:
                 seen.add(b)
                 queue.append(b)
     return np.array([w in seen for w in seeds.complement.tolist()], dtype=bool)
+
+
+def _array_log_normal_mle(sums: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    n_obs = m * sums[..., 0]
+    mu = sums[..., 1] / n_obs
+    return mu, np.maximum(sums[..., 2] / n_obs - mu ** 2, 1e-8)
+
+
+def reference_em_fit(samples: VertexSamples, g: int, cfg: HitmixConfig) -> MixtureFit:
+    """em_fit with every per-component step done on length-g NumPy arrays and
+    the E-step reduced with axis-0 np.max and np.sum."""
+    n, m = samples.s1.size, samples.m
+    stats = np.column_stack([np.ones(n), samples.s1, samples.s2])
+    stats_t = np.ascontiguousarray(stats.T)
+    sorted_stats = stats[np.argsort(samples.s1, kind="stable")]
+    work = np.empty((g + 2, n))
+    joint, top, total = work[:g], work[g], work[g + 1]
+    log_jacobian = -float(samples.s1.sum())
+
+    mus, sigma2s = _array_log_normal_mle(
+        np.array([part.sum(axis=0) for part in np.array_split(sorted_stats, g)]), m)
+    pis = np.full(g, 1.0 / g)
+
+    ll_history: list[float] = []
+    ll = -np.inf
+    converged = False
+    it = 0
+    while it < cfg.em_max_iters:
+        it += 1
+        w = np.array([-0.5 * m * np.log(2.0 * np.pi * sigma2s) - m * mus ** 2 / (2.0 * sigma2s),
+                      mus / sigma2s,
+                      -0.5 / sigma2s])
+        np.matmul(w.T, stats_t, out=joint)
+        joint += np.log(pis)[:, None]
+        np.max(joint, axis=0, out=top)
+        joint -= top
+        np.exp(joint, out=joint)
+        np.sum(joint, axis=0, out=total)
+        joint /= total
+        np.log(total, out=total)
+        total += top
+        ll_new = float(total.sum()) + log_jacobian
+        ll_history.append(ll_new)
+        if np.isfinite(ll) and abs(ll_new - ll) <= cfg.em_rel_tol * max(1.0, abs(ll)):
+            ll = ll_new
+            converged = True
+            break
+        ll = ll_new
+
+        sums = (stats.T @ joint.T).T
+        nk = sums[:, 0]
+        if (nk / n < 1e-12).any():
+            raise EmCollapseError(f"EM component collapsed (g={g}, iter={it})")
+        mus, sigma2s = _array_log_normal_mle(sums, m)
+        pis = nk / n
+
+    components = [LognormalParams(float(mus[k]), float(sigma2s[k])) for k in range(g)]
+    return MixtureFit(g, components, pis, joint.T, ll, ll_history, it, converged)
 
 
 def simulate_hitting_times(graph: Graph, seeds: SeedSet, start_vertex: int,

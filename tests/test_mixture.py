@@ -4,7 +4,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import lognorm
 
@@ -13,6 +13,18 @@ from hitmix.mixture import (EmCollapseError, HitmixConfig, MomentTable,
                             VertexSamples, bic, component_means,
                             draw_pseudo_samples, em_fit, hitmix, lognormal_mom)
 from hitmix.moments import compute_moments
+from oracles import reference_em_fit
+
+
+def fit_bits(fit_fn, samples, g, cfg):
+    """Everything a fit returns, as bytes where it is an array, or the message
+    of the EmCollapseError it raises."""
+    try:
+        fit = fit_fn(samples, g, cfg)
+    except EmCollapseError as exc:
+        return str(exc)
+    return (fit.responsibilities.tobytes(), np.array(fit.ll_history).tobytes(),
+            fit.iterations, fit.converged, fit.weights.tobytes(), fit.components)
 
 
 def lognormal_moments(mu, sigma2):
@@ -225,6 +237,28 @@ class TestEmFit:
         with pytest.raises(ValueError, match="work must be"):
             em_fit(vs, 3, work=np.empty(shape, dtype, order))
 
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 3000), g=st.integers(2, 6), m=st.integers(1, 40),
+           max_iters=st.integers(1, 300), groups=st.integers(1, 3),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_equals_array_reference_bit_for_bit(self, n, g, m, max_iters, groups, seed):
+        # The parameter step runs on Python floats; the reference runs it on
+        # NumPy arrays and reduces the E-step with axis-0 np.max and np.sum.
+        assume(g <= n)
+        rng = np.random.default_rng(seed)
+        log_means = rng.normal(0.0, 2.0, groups)[rng.integers(0, groups, n)]
+        log_means += 0.1 * rng.standard_normal(n)
+        means = np.exp(log_means)
+        table = moment_table(np.arange(n), means, means ** 2 * rng.uniform(0.01, 1.0))
+        samples = draw_pseudo_samples(table, m, seed)
+        cfg = HitmixConfig(em_max_iters=max_iters)
+        assert fit_bits(em_fit, samples, g, cfg) == fit_bits(reference_em_fit, samples, g, cfg)
+
+    @pytest.mark.parametrize("g", [2, 3, 4])
+    def test_equals_array_reference_on_three_groups(self, g):
+        samples, cfg = three_separated_groups(), HitmixConfig()
+        assert fit_bits(em_fit, samples, g, cfg) == fit_bits(reference_em_fit, samples, g, cfg)
+
     def test_too_many_components_errors(self):
         vs = synthetic_samples([0.0], 0.1, 3, 5, seed=0)
         with pytest.raises(ValueError):
@@ -355,6 +389,18 @@ class TestHitmix:
                     assert (fit.iterations, fit.converged) == (want.iterations, want.converged)
         finally:
             sys.setswitchinterval(interval)
+
+    def test_one_feasible_g_does_not_count_cpus(self, monkeypatch):
+        def cpu_count():
+            raise AssertionError("os.cpu_count called with one feasible g")
+
+        monkeypatch.setattr(os, "cpu_count", cpu_count)
+        rng = np.random.default_rng(0)
+        from hitmix.sbm import SbmConfig, sample_sbm, sample_hitting_set
+        graph, labels = sample_sbm(SbmConfig(2, 60, 0.3, 0.02), rng)
+        seeds = sample_hitting_set(labels, 15, rng)
+        res = hitmix(graph, seeds, HitmixConfig(g_candidates=(2,), rng_seed=4))
+        assert set(res.fits) == {2}
 
     def test_real_collapses_in_fit_threads_are_skipped(self, monkeypatch, caplog):
         # A star with the seed at its centre gives 5,000 reachable leaves; their

@@ -1,9 +1,9 @@
 """Undirected multigraph storage, seed sets, and edge-list ingestion.
 
-The adjacency is kept in CSR form with integer multiplicities as values.
-A self-loop at v contributes 2 to the (v, v) entry so that every degree is
-exactly the corresponding row sum and the walk matrix D^{-1} A stays row
-stochastic.
+The adjacency is kept in canonical CSR form with multiplicities as float64
+values, exact below 2**53 and in the dtype its readers use. A self-loop at v
+contributes 2 to the (v, v) entry so that every degree is exactly the row sum
+and the walk matrix D^{-1} A stays row stochastic.
 """
 
 from __future__ import annotations
@@ -26,20 +26,14 @@ class EdgeListParseError(ValueError):
         self.line_no = line_no
 
 
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Immutable undirected multigraph: dense 0-based ids, symmetric adjacency."""
+    """Immutable undirected multigraph: dense 0-based ids, symmetric adjacency,
+    float64 degrees. Build it with `from_edges`, which makes both read-only."""
 
-    def __init__(self, n_vertices: int, adjacency: sp.csr_matrix):
-        if adjacency.shape != (n_vertices, n_vertices):
-            raise ValueError("adjacency shape does not match n_vertices")
-        adjacency = adjacency.tocsr().astype(np.int64)
-        adjacency.sum_duplicates()
-        adjacency.sort_indices()
-        self.n_vertices = n_vertices
-        self.adjacency = adjacency
-        self.degrees = np.asarray(adjacency.sum(axis=1)).ravel().astype(np.int64)
-        self.adjacency.data.flags.writeable = False
-        self.degrees.flags.writeable = False
+    n_vertices: int
+    adjacency: sp.csr_matrix
+    degrees: np.ndarray
 
     @classmethod
     def from_edges(cls, n_vertices: int, u: Iterable[int], v: Iterable[int]) -> "Graph":
@@ -63,9 +57,13 @@ class Graph:
         first = np.flatnonzero(np.concatenate([keys[:1] >= 0, keys[1:] != keys[:-1]]))
         entries = keys[first]
         indptr = np.append(0, np.bincount(entries >> 32, minlength=n_vertices).cumsum())
-        counts = np.diff(first, append=keys.size)
-        return cls(n_vertices, sp.csr_matrix((counts, entries & 0xFFFFFFFF, indptr),
-                                             shape=(n_vertices, n_vertices)))
+        counts = np.diff(first, append=keys.size).astype(np.float64)
+        adjacency = sp.csr_matrix((counts, entries & 0xFFFFFFFF, indptr),
+                                  shape=(n_vertices, n_vertices))
+        degrees = np.bincount(keys >> 32, minlength=n_vertices).astype(np.float64)
+        adjacency.data.flags.writeable = False
+        degrees.flags.writeable = False
+        return cls(n_vertices, adjacency, degrees)
 
 
 @dataclass(frozen=True)
@@ -184,7 +182,8 @@ def load_seed_file(stream: IO[str], n_vertices: int) -> SeedSet:
 def reachable_from(graph: Graph, seeds: SeedSet) -> np.ndarray:
     """Read-only bool mask over seeds.complement: does the vertex's component
     contain a seed? The adjacency is symmetric, so its strong components are
-    the undirected ones, found without the transpose that directed=False adds."""
+    the undirected ones, found without the transpose that directed=False adds.
+    Its data is already float64, so scipy converts it without a copy."""
     count, labels = connected_components(graph.adjacency, directed=True, connection="strong")
     seeded = np.zeros(count, dtype=bool)
     seeded[labels[list(seeds.members)]] = True

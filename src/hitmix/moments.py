@@ -45,13 +45,12 @@ class MomentTable:
 def restricted_laplacian(graph: Graph, vertices: np.ndarray) -> sp.csr_matrix:
     """CSR H = I - D^{-1/2} A D^{-1/2} over a vertex subset. Off-diagonal entries
     round as (d_i a_ij) d_j, the order that fixed-seed outputs were made with."""
-    deg = graph.degrees[vertices].astype(np.float64)
+    deg = graph.degrees[vertices]
     if vertices.size and deg.min() <= 0:
         raise ValueError("subset contains an isolated vertex (degree 0); "
                          "filter unreachable vertices first")
     inv_sqrt_deg = 1.0 / np.sqrt(deg)
-    a = graph.adjacency[vertices][:, vertices]
-    a.data = a.data.astype(np.float64)  # not a.astype: it copies indices and indptr too
+    a = graph.adjacency[vertices][:, vertices]  # a fresh, writeable copy
     a.data *= np.repeat(inv_sqrt_deg, np.diff(a.indptr))
     a.data *= inv_sqrt_deg[a.indices]
     return sp.identity(vertices.size, format="csr") - a
@@ -68,7 +67,7 @@ def compute_moments(graph: Graph, seeds: SeedSet,
 
     vertices = seeds.complement[reachable]
     h = restricted_laplacian(graph, vertices)
-    sqrt_deg = np.sqrt(graph.degrees[vertices].astype(np.float64))
+    sqrt_deg = np.sqrt(graph.degrees[vertices])
     stats: list[CgStats] = []
 
     def solve(order: int, b: np.ndarray) -> np.ndarray:

@@ -170,9 +170,27 @@ class TestGraphInvariants:
             c = sp.coo_matrix((np.ones(u.size, dtype=np.int64), (u, v)), shape=(n, n))
             ref = (c + c.T).tocsr()
             ref.sort_indices()
-            a = Graph.from_edges(n, u, v).adjacency
+            g = Graph.from_edges(n, u, v)
+            a = g.adjacency
             for name in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(a, name), getattr(ref, name))
+            # The contract the readers rely on: canonical, float64, read-only,
+            # and degrees that are the row sums.
+            assert a.has_canonical_format
+            assert a.dtype == np.float64 and g.degrees.dtype == np.float64
+            assert np.array_equal(g.degrees, np.asarray(a.sum(axis=1)).ravel())
+            assert not a.data.flags.writeable and not g.degrees.flags.writeable
+
+    def test_non_symmetric_input_cannot_become_a_graph(self):
+        # The directed path 0 -> 1 -> 2 as a CSR has no constructor to enter.
+        directed = sp.csr_matrix((np.ones(2), ([0, 1], [1, 2])), shape=(3, 3))
+        with pytest.raises(TypeError):
+            Graph(3, directed)
+        # As edges it comes out symmetric, and seed 2 reaches 0 and 1.
+        g = Graph.from_edges(3, [0, 1], [1, 2])
+        assert (g.adjacency != g.adjacency.T).nnz == 0
+        assert g.degrees.tolist() == [1, 2, 1]
+        assert reachable_from(g, SeedSet.from_members([2], 3)).tolist() == [True, True]
 
     def test_vertex_count_beyond_pair_keys_rejected(self):
         with pytest.raises(ValueError, match="more than 2"):

@@ -253,8 +253,8 @@ def hitmix(graph: Graph, seeds: SeedSet,
 
     n = reach.vertices.size
     # The fits are independent; NumPy and OpenBLAS release the GIL, so they run
-    # on threads. Each fit's work array is made here first: arrays freed in a
-    # worker thread stay in its malloc arena and raise the peak RSS.
+    # on threads, largest g first. Each fit's work array is made here first: arrays
+    # freed in a worker thread stay in its malloc arena and raise the peak RSS.
     samples.em_stats  # computed once, before the threads share it
     # calls[g](), for each feasible g, returns its fit or raises what EM raised.
     calls = {g: partial(em_fit, samples, g, cfg, work=np.empty((g + 2, n)))
@@ -263,7 +263,7 @@ def hitmix(graph: Graph, seeds: SeedSet,
     workers = min(len(calls), os.cpu_count() or 1) if len(calls) > 1 else 1
     if workers > 1:
         with ThreadPoolExecutor(workers) as pool:
-            calls = {g: pool.submit(call).result for g, call in calls.items()}
+            calls = {g: pool.submit(calls[g]).result for g in sorted(calls, reverse=True)}
 
     fits: dict[int, MixtureFit] = {}
     collapse = None

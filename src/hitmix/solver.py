@@ -49,10 +49,10 @@ class NonSpdError(HitmixError):
 _BACKWARD_ERROR_FLOOR = 16 * np.finfo(np.float64).eps
 
 
-def _done(r_norm: float, x: np.ndarray, b_norm: float, cfg: CgConfig) -> bool:
+def _done(r_norm: float, x_norm: float, b_norm: float, cfg: CgConfig) -> bool:
     """Residual norm within cfg.rel_tol, or at the backward-error floor."""
-    return bool(r_norm / b_norm <= cfg.rel_tol or r_norm <= _BACKWARD_ERROR_FLOOR
-                * (2.0 * math.sqrt(float(x @ x)) + b_norm))
+    return bool(r_norm / b_norm <= cfg.rel_tol
+                or r_norm <= _BACKWARD_ERROR_FLOOR * (2.0 * x_norm + b_norm))
 
 
 def conjugate_gradient(h: sp.csr_matrix, b: np.ndarray,
@@ -79,15 +79,17 @@ def conjugate_gradient(h: sp.csr_matrix, b: np.ndarray,
     x = np.zeros(n)
     r = b.copy()
     p = r.copy()
-    rr = float(r @ r)
+    rr = float(r.dot(r))
+    x_bound = 0.0           # sum |alpha| ||p|| >= ||x||, by the triangle inequality
     max_iters = max(1000, 10 * n)
 
     for k in range(1, max_iters + 1):
         hp = h @ p
-        php = float(p @ hp)
+        php = float(p.dot(hp))
+        pp = float(p.dot(p))
         # A vanishing Rayleigh quotient means p sits in a numerical nullspace
         # (unreachable vertices make the operator singular).
-        if not np.isfinite(php) or php <= 1e-14 * float(p @ p):
+        if not math.isfinite(php) or php <= 1e-14 * pp:
             raise NonSpdError(
                 "conjugate gradient broke down (non-positive or non-finite "
                 "curvature); the operator is not SPD. Filter unreachable "
@@ -95,19 +97,26 @@ def conjugate_gradient(h: sp.csr_matrix, b: np.ndarray,
         alpha = rr / php
         x += alpha * p
         r -= alpha * hp
-        rr_new = float(r @ r)
-        if not np.isfinite(rr_new):
+        x_bound += abs(alpha) * math.sqrt(pp)
+        rr_new = float(r.dot(r))
+        if not math.isfinite(rr_new):
             raise NonSpdError("non-finite residual in conjugate gradient")
         # The recursive residual drifts from the true one in finite precision,
         # so it only triggers the check of the true residual. At exactly 0 it
         # leaves no next direction (p = 0), so CG stops there either way.
-        if _done(math.sqrt(rr_new), x, b_norm, cfg) or rr_new == 0.0:
-            true_norm = float(np.linalg.norm(b - h @ x))
-            converged = _done(true_norm, x, b_norm, cfg)
-            if converged or rr_new == 0.0:
-                return x, CgStats(k, true_norm / b_norm, converged)
+        # _done is monotone in ||x||, so twice the bound (room for rounding)
+        # rules a stop out without the x @ x that the floor test needs.
+        r_norm = math.sqrt(rr_new)
+        if rr_new == 0.0 or _done(r_norm, 2.0 * x_bound, b_norm, cfg):
+            x_norm = math.sqrt(float(x.dot(x)))
+            if _done(r_norm, x_norm, b_norm, cfg) or rr_new == 0.0:
+                true_norm = float(np.linalg.norm(b - h @ x))
+                converged = _done(true_norm, x_norm, b_norm, cfg)
+                if converged or rr_new == 0.0:
+                    return x, CgStats(k, true_norm / b_norm, converged)
         p = r + (rr_new / rr) * p
         rr = rr_new
 
     true_norm = float(np.linalg.norm(b - h @ x))
-    return x, CgStats(max_iters, true_norm / b_norm, _done(true_norm, x, b_norm, cfg))
+    converged = _done(true_norm, math.sqrt(float(x.dot(x))), b_norm, cfg)
+    return x, CgStats(max_iters, true_norm / b_norm, converged)

@@ -4,8 +4,12 @@ The dense and sparse-LU solves and the Monte Carlo walk simulator check the
 CG moments of `hitmix.moments.compute_moments` by routes that share no code
 with it; the breadth-first search checks `hitmix.graph.reachable_from`;
 `reference_em_fit` is EM with its parameter step in NumPy arrays, which
-`hitmix.mixture.em_fit` must equal bit for bit.
+`hitmix.mixture.em_fit` must equal bit for bit; `reference_cg` is conjugate
+gradients that test ||x|| at every step, which
+`hitmix.solver.conjugate_gradient` must equal bit for bit.
 """
+
+import math
 
 import io
 from collections import deque
@@ -18,6 +22,7 @@ from hitmix.graph import Graph, SeedSet, load_edge_list, reachable_from
 from hitmix.mixture import (EmCollapseError, HitmixConfig, LognormalParams,
                             MixtureFit, VertexSamples)
 from hitmix.sbm import SbmConfig, sample_sbm
+from hitmix.solver import _BACKWARD_ERROR_FLOOR, CgConfig, CgStats, NonSpdError
 
 
 def path3():
@@ -130,6 +135,63 @@ def reference_em_fit(samples: VertexSamples, g: int, cfg: HitmixConfig) -> Mixtu
 
     components = [LognormalParams(float(mus[k]), float(sigma2s[k])) for k in range(g)]
     return MixtureFit(g, components, pis, joint.T, ll, ll_history, it, converged)
+
+
+def reference_done(r_norm, x, b_norm, cfg):
+    """The stop test of reference_cg, which takes x itself."""
+    return bool(r_norm / b_norm <= cfg.rel_tol or r_norm <= _BACKWARD_ERROR_FLOOR
+                * (2.0 * math.sqrt(float(x @ x)) + b_norm))
+
+
+def reference_cg(h: sp.csr_matrix, b: np.ndarray,
+                 cfg: CgConfig | None = None) -> tuple[np.ndarray, CgStats]:
+    """conjugate_gradient that computes x @ x for its floor test at every
+    step where the relative-residual test fails, checks finiteness with
+    np.isfinite and takes every dot product with @."""
+    if cfg is None:
+        cfg = CgConfig()
+    b = np.asarray(b, dtype=np.float64)
+    n = h.shape[0]
+    if b.shape != (n,):
+        raise ValueError(f"rhs length {b.shape} does not match operator size {n}")
+    if not np.all(np.isfinite(b)):
+        raise ValueError("rhs contains non-finite entries")
+
+    b_norm = float(np.linalg.norm(b))
+    if b_norm == 0.0:
+        return np.zeros(n), CgStats(0, 0.0, True)
+
+    x = np.zeros(n)
+    r = b.copy()
+    p = r.copy()
+    rr = float(r @ r)
+    max_iters = max(1000, 10 * n)
+
+    for k in range(1, max_iters + 1):
+        hp = h @ p
+        php = float(p @ hp)
+        if not np.isfinite(php) or php <= 1e-14 * float(p @ p):
+            raise NonSpdError(
+                "conjugate gradient broke down (non-positive or non-finite "
+                "curvature); the operator is not SPD. Filter unreachable "
+                "vertices using reachable_from")
+        alpha = rr / php
+        x += alpha * p
+        r -= alpha * hp
+        rr_new = float(r @ r)
+        if not np.isfinite(rr_new):
+            raise NonSpdError("non-finite residual in conjugate gradient")
+        if reference_done(math.sqrt(rr_new), x, b_norm, cfg) or rr_new == 0.0:
+            true_norm = float(np.linalg.norm(b - h @ x))
+            converged = reference_done(true_norm, x, b_norm, cfg)
+            if converged or rr_new == 0.0:
+                return x, CgStats(k, true_norm / b_norm, converged)
+        p = r + (rr_new / rr) * p
+        rr = rr_new
+
+    true_norm = float(np.linalg.norm(b - h @ x))
+    return x, CgStats(max_iters, true_norm / b_norm,
+                      reference_done(true_norm, x, b_norm, cfg))
 
 
 def simulate_hitting_times(graph: Graph, seeds: SeedSet, start_vertex: int,

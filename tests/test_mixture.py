@@ -1,6 +1,7 @@
 import io
 import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -422,6 +423,33 @@ class TestHitmix:
             assert np.array(fit.ll_history).tobytes() == np.array(want.ll_history).tobytes()
             assert fit.weights.tobytes() == want.weights.tobytes()
             assert fit.components == want.components
+
+    def test_fits_are_submitted_largest_g_first(self, monkeypatch, caplog):
+        # The pool gets the longest fits first. Fits, BIC values and WARNINGs
+        # (collapses of g = 4 and 5, g = 6000 > n) still follow g_candidates.
+        submitted = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def submit(self, fn, *args, **kwargs):
+                submitted.append(fn.args[1])
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr("hitmix.mixture.ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr("hitmix.mixture.draw_pseudo_samples",
+                            lambda *args: three_separated_groups())
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        graph = Graph.from_edges(5001, np.zeros(5000, dtype=np.int64), np.arange(1, 5001))
+        cfg = HitmixConfig(g_candidates=(3, 5, 6000, 2, 4))
+        res = hitmix(graph, SeedSet.from_members([0], 5001), cfg)
+        assert submitted == [5, 4, 3, 2]
+        assert list(res.fits) == list(res.bic_by_g) == [3, 2]
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert warnings == ["skipping g=5: EM component collapsed (g=5, iter=1)",
+                            "skipping g=6000: more components than vertices",
+                            "skipping g=4: EM component collapsed (g=4, iter=1)"]
+        for g, fit in res.fits.items():
+            assert fit.responsibilities.tobytes() == \
+                em_fit(three_separated_groups(), g).responsibilities.tobytes()
 
     def test_each_fit_gets_a_work_array(self, monkeypatch):
         shapes = {}

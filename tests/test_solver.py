@@ -1,14 +1,16 @@
 import io
+import re
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 import hitmix.solver
-from hitmix.graph import Graph, SeedSet, load_edge_list
+import oracles
+from hitmix.graph import Graph, SeedSet, load_edge_list, reachable_from
 from hitmix.moments import compute_moments, restricted_laplacian
 from hitmix.solver import CgConfig, NonSpdError, conjugate_gradient
-from oracles import path3, random_connected
+from oracles import path3, random_connected, reference_cg
 
 
 def laplacian(graph, seeds):
@@ -175,6 +177,89 @@ class TestConjugateGradient:
         # E_k T = k (2 (n - 1) - k) = 1 at k = 1; here b = sqrt(d) = 1, so x = E T.
         assert x.tolist() == [1.0]
         assert stats.converged and stats.iterations == 1 and stats.final_rel_residual == 0.0
+        # The rejected check was that of the recursive residual; the second, of
+        # the true residual, passed. Both saw ||x|| = 1, not a bound on it.
+        assert [args[:2] for args in checks] == [(0.0, 1.0), (0.0, 1.0)]
+
+
+def path(n):
+    return Graph.from_edges(n, np.arange(n - 1), np.arange(1, n))
+
+
+def assert_equals_reference(h, b, cfg=None):
+    """conjugate_gradient gives reference_cg's x bytes and stats, or raises
+    its NonSpdError with the same message. Returns x and the stats, or None."""
+    try:
+        want_x, want = reference_cg(h, b, cfg)
+    except NonSpdError as exc:
+        with pytest.raises(NonSpdError, match=f"^{re.escape(str(exc))}$"):
+            conjugate_gradient(h, b, cfg)
+        return None
+    x, stats = conjugate_gradient(h, b, cfg)
+    assert x.tobytes() == want_x.tobytes()
+    assert stats.iterations == want.iterations
+    assert np.float64(stats.final_rel_residual).tobytes() == \
+        np.float64(want.final_rel_residual).tobytes()
+    assert stats.converged is want.converged
+    return x, stats
+
+
+def assert_moment_solves_equal_reference(graph, seeds, cfg=None):
+    """Both moment systems of compute_moments, each held to reference_cg."""
+    vertices = seeds.complement[reachable_from(graph, seeds)]
+    h = restricted_laplacian(graph, vertices)
+    sqrt_deg = np.sqrt(graph.degrees[vertices])
+    x1, stats1 = assert_equals_reference(h, sqrt_deg, cfg)
+    _, stats2 = assert_equals_reference(h, sqrt_deg * (1.0 + 2.0 * (x1 / sqrt_deg - 1.0)), cfg)
+    return stats1, stats2
+
+
+class TestEqualsReferenceCg:
+    """conjugate_gradient tests ||x|| only where a running bound lets the floor
+    test pass; every stop, iterate and residual must still be reference_cg's."""
+
+    @pytest.mark.parametrize("rel_tol", [1e-6, 1e-10, 1e-15])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_multigraphs(self, seed, rel_tol):
+        # Repeated pairs, self-loops and unreachable parts. The reachable block
+        # is also solved for a random rhs; the block with the unreachable parts
+        # must break down with the same error, or converge in the same way.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(4, 400))
+        u, v = rng.integers(0, n, 2 * n), rng.integers(0, n, 2 * n)
+        repeat = rng.integers(0, u.size, n // 2)
+        u = np.concatenate([u, u[repeat], np.arange(0, n, 5)])
+        v = np.concatenate([v, v[repeat], np.arange(0, n, 5)])
+        g = Graph.from_edges(n, u, v)
+        seeds = SeedSet.from_members(rng.choice(n, int(rng.integers(1, 4)), replace=False), n)
+        cfg = CgConfig(rel_tol)
+        stats = assert_moment_solves_equal_reference(g, seeds, cfg)
+        assert all(st.converged for st in stats)
+        vertices = seeds.complement[reachable_from(g, seeds)]
+        h = restricted_laplacian(g, vertices)
+        assert assert_equals_reference(h, rng.standard_normal(vertices.size), cfg)[1].converged
+        vertices = seeds.complement[g.degrees[seeds.complement] > 0]
+        assert_equals_reference(restricted_laplacian(g, vertices), np.ones(vertices.size), cfg)
+
+    @pytest.mark.parametrize("rel_tol", [1e-10, 1e-15])
+    def test_path_2000_stops_at_the_floor(self, rel_tol):
+        stats = assert_moment_solves_equal_reference(
+            path(2000), SeedSet.from_members([0], 2000), CgConfig(rel_tol))
+        assert [st.iterations for st in stats] == [1999, 1996]
+        assert all(st.converged and st.final_rel_residual > 1e-10 for st in stats)
+
+    def test_zero_recursive_residual(self):
+        stats = assert_moment_solves_equal_reference(path(2), SeedSet.from_members([0], 2))
+        assert stats[0].iterations == 1 and stats[0].final_rel_residual == 0.0
+
+    def test_iteration_budget(self, monkeypatch):
+        # With no stop test met, both run max(1000, 10 n) iterations.
+        monkeypatch.setattr(hitmix.solver, "_done", lambda *args: False)
+        monkeypatch.setattr(oracles, "reference_done", lambda *args: False)
+        g = path(100)
+        h = restricted_laplacian(g, np.arange(1, 100))
+        _, stats = assert_equals_reference(h, np.sqrt(g.degrees[1:]))
+        assert stats.iterations == 1000 and not stats.converged
 
 
 class TestCgConfig:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -43,9 +44,9 @@ def _resolve_seed(seed: int | None) -> int:
     return seed
 
 
-def _cg_summary(stats: list[CgStats]) -> str:
-    """CG iterations and attained relative residual per moment, for the log."""
-    return (f"CG iters {[s.iterations for s in stats]}, residual ["
+def _cg_summary(cfg: CgConfig, stats: list[CgStats]) -> str:
+    """CG tolerance, then iterations and attained relative residual per moment."""
+    return (f"CG tol {cfg.rel_tol:g}, iters {[s.iterations for s in stats]}, residual ["
             + ", ".join(f"{s.final_rel_residual:.1e}" for s in stats) + "]")
 
 
@@ -70,7 +71,7 @@ def _cmd_moments(args) -> int:
     t0 = time.perf_counter()
     table = compute_moments(graph, seeds, cfg)
     log.info("moments: %d vertices, %s, %.3fs", table.vertices.size,
-             _cg_summary(table.cg_stats), time.perf_counter() - t0)
+             _cg_summary(cfg, table.cg_stats), time.perf_counter() - t0)
     _atomic_write(args.out, _tsv("vertex_id\tmean\tvariance\treachable", table.vertices,
                                  table.mean, table.variance, table.reachable))
     return 0
@@ -95,7 +96,7 @@ def _cmd_expand(args) -> int:
     t0 = time.perf_counter()
     result = hitmix(graph, seeds, cfg)
     log.info("expand: %s, selected g=%d, BIC %s, EM iters %s, %.3fs",
-             _cg_summary(result.moments.cg_stats), result.selected_g,
+             _cg_summary(cfg.cg, result.moments.cg_stats), result.selected_g,
              {g: round(b, 3) for g, b in result.bic_by_g.items()},
              {g: f.iterations for g, f in result.fits.items()},
              time.perf_counter() - t0)
@@ -223,7 +224,8 @@ def _cmd_relabel(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hitmix",
         description="Seed-set expansion via hitting-time moments and a "
@@ -275,9 +277,8 @@ def run(argv=None) -> int:
     """Exit code 0 ok, 1 usage error, 2 input error, 3 solver or EM failure."""
     logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code else 0
     try:

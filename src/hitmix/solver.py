@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvec
 
 
 @dataclass
@@ -65,10 +66,14 @@ def conjugate_gradient(h: sp.csr_matrix, b: np.ndarray,
     """
     if cfg is None:
         cfg = CgConfig()
+    if h.format != "csr":   # the raw kernel would read a CSC matrix as its transpose
+        raise TypeError(f"conjugate_gradient needs a CSR operator, got {h.format!r}")
     b = np.asarray(b, dtype=np.float64)
     n = h.shape[0]
     if b.shape != (n,):
         raise ValueError(f"rhs length {b.shape} does not match operator size {n}")
+    if h.shape != (n, n):
+        raise ValueError(f"operator shape {h.shape} is not square")
     if not np.all(np.isfinite(b)):
         raise ValueError("rhs contains non-finite entries")
 
@@ -79,12 +84,15 @@ def conjugate_gradient(h: sp.csr_matrix, b: np.ndarray,
     x = np.zeros(n)
     r = b.copy()
     p = r.copy()
+    hp, tmp = np.empty(n), np.empty(n)
     rr = float(r.dot(r))
     x_bound = 0.0           # sum |alpha| ||p|| >= ||x||, by the triangle inequality
     max_iters = max(1000, 10 * n)
 
     for k in range(1, max_iters + 1):
-        hp = h @ p
+        # h @ p without scipy's dispatch and fresh zeros: the same kernel call.
+        hp.fill(0.0)
+        csr_matvec(n, n, h.indptr, h.indices, h.data, p, hp)
         php = float(p.dot(hp))
         pp = float(p.dot(p))
         # A vanishing Rayleigh quotient means p sits in a numerical nullspace
@@ -95,8 +103,11 @@ def conjugate_gradient(h: sp.csr_matrix, b: np.ndarray,
                 "curvature); the operator is not SPD. Filter unreachable "
                 "vertices using reachable_from")
         alpha = rr / php
-        x += alpha * p
-        r -= alpha * hp
+        # In place through tmp; each update rounds as x += alpha * p would.
+        np.multiply(p, alpha, tmp)
+        x += tmp
+        np.multiply(hp, alpha, tmp)
+        r -= tmp
         x_bound += abs(alpha) * math.sqrt(pp)
         rr_new = float(r.dot(r))
         if not math.isfinite(rr_new):
@@ -114,7 +125,8 @@ def conjugate_gradient(h: sp.csr_matrix, b: np.ndarray,
                 converged = _done(true_norm, x_norm, b_norm, cfg)
                 if converged or rr_new == 0.0:
                     return x, CgStats(k, true_norm / b_norm, converged)
-        p = r + (rr_new / rr) * p
+        np.multiply(p, rr_new / rr, p)
+        p += r
         rr = rr_new
 
     true_norm = float(np.linalg.norm(b - h @ x))

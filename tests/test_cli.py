@@ -191,6 +191,39 @@ def test_sbm_sim_without_seed_logs_the_one_it_picks(tmp_path, caplog, captured_s
     assert f"using seed {seed} (pass --seed {seed} to replay)" in caplog.text
 
 
+EXAMPLES = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "examples")
+
+
+@pytest.mark.parametrize("name, expected", [
+    ("paper_sim1.conf", SimulationSpec(
+        sweep="n_blocks", values=[2, 3, 4, 5, 6, 7, 8, 9, 10], mc_samples=500,
+        block_size=200, p_in=0.15, p_out=0.05, scale_p_out=True, hitting_set_size=20,
+        seed=7)),
+    ("paper_sim2.conf", SimulationSpec(
+        sweep="p_in", values=[0.20, 0.12, 0.08, 0.06], mc_samples=500, n_blocks=2,
+        block_size=100, p_out=0.05, hitting_set_size=10, seed=7)),
+])
+def test_paper_simulation_configs(tmp_path, captured_spec, name, expected):
+    assert run(["sbm-sim", "--config", os.path.join(EXAMPLES, name),
+                "--out", str(tmp_path / "r")]) == 0
+    [spec] = captured_spec
+    assert vars(spec) == vars(expected)
+
+
+def test_parser_keeps_no_value_between_runs(workdir, caplog):
+    # The parser is built once per process; a flag given to one run must not
+    # become the next run's default.
+    args = ["moments", "--graph", str(workdir / "g.txt"), "--seeds",
+            str(workdir / "s.txt"), "--out", str(workdir / "m.tsv")]
+    with caplog.at_level(logging.INFO, logger="hitmix"):
+        assert run(args + ["--cg-tol", "1e-6"]) == 0
+        assert run(args) == 0
+    logged = [m for m in caplog.messages if m.startswith("moments:")]
+    assert "CG tol 1e-06," in logged[0] and "CG tol 1e-10," in logged[1]
+    assert hitmix.cli._parser() is hitmix.cli._parser()
+
+
 @pytest.mark.parametrize("text, message", [
     ("sweep = n_blocks\nvalues = 1, 2\nscale_p_out = true\n",
      "scale_p_out needs n_blocks >= 2"),

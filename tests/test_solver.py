@@ -39,6 +39,11 @@ class TestApply:
         with pytest.raises(ValueError, match="rhs length"):
             conjugate_gradient(h, np.zeros(3))
 
+    def test_non_square_operator_rejected(self):
+        h = sp.csr_matrix(np.ones((2, 3)))
+        with pytest.raises(ValueError, match=r"operator shape \(2, 3\) is not square"):
+            conjugate_gradient(h, np.ones(2))
+
     def test_isolated_vertex_rejected(self):
         g = load_edge_list(io.StringIO("0 1\n0 3"))     # vertex 2 has no edge
         with pytest.raises(ValueError, match="isolated vertex"):
@@ -77,6 +82,58 @@ class TestApply:
         assert np.array_equal(h.indptr, ref.indptr)
         assert np.array_equal(h.indices, ref.indices)
         assert h.data.tobytes() == ref.data.tobytes()
+
+
+def random_csr(rng, n, index_dtype):
+    """An n x n CSR matrix with empty rows, rows in random column order and
+    index arrays of index_dtype; entries span six orders of magnitude."""
+    counts = rng.integers(0, min(n, 8) + 1, n) * (rng.random(n) < 0.8)
+    indices = np.concatenate([rng.choice(n, c, replace=False) for c in counts]
+                             + [np.empty(0, dtype=np.int64)])
+    data = rng.standard_normal(indices.size) * 10.0 ** rng.uniform(-3, 3, indices.size)
+    h = sp.csr_matrix((data, indices, np.concatenate([[0], np.cumsum(counts)])),
+                      shape=(n, n))
+    # scipy picks int32 for indices that fit, so int64 is set afterwards
+    h.indices, h.indptr = h.indices.astype(index_dtype), h.indptr.astype(index_dtype)
+    return h
+
+
+def kernel_product(h, p, out):
+    """What conjugate_gradient computes for h @ p into its kept buffer."""
+    out.fill(0.0)
+    hitmix.solver.csr_matvec(h.shape[0], h.shape[1], h.indptr, h.indices, h.data, p, out)
+    return out
+
+
+class TestKernel:
+    """conjugate_gradient calls scipy's csr_matvec into a kept buffer in place
+    of h @ p; it must give h @ p's bytes on any CSR matrix."""
+
+    @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_equals_matmul_bit_for_bit(self, seed, index_dtype):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 300))
+        h = random_csr(rng, n, index_dtype)
+        assert h.indices.dtype == index_dtype and h.indptr.dtype == index_dtype
+        out = np.full(n, np.nan)        # kept between products, as in CG
+        for _ in range(3):
+            p = rng.standard_normal(n)
+            assert kernel_product(h, p, out).tobytes() == (h @ p).tobytes()
+
+    def test_rows_are_empty_and_unsorted(self):
+        h = random_csr(np.random.default_rng(0), 200, np.int32)
+        assert (np.diff(h.indptr) == 0).any()
+        assert not h.has_sorted_indices
+
+    def test_csc_operator_raises(self):
+        # The kernel reads a CSC matrix's arrays as its transpose.
+        h = sp.csc_matrix([[2.0, 1.0], [0.0, 3.0]])
+        p = np.array([1.0, 2.0])
+        assert (h @ p).tolist() == [4.0, 6.0]
+        assert kernel_product(h, p, np.empty(2)).tolist() == [2.0, 7.0]
+        with pytest.raises(TypeError, match="needs a CSR operator, got 'csc'"):
+            conjugate_gradient(h, p)
 
 
 class TestConjugateGradient:
@@ -240,6 +297,21 @@ class TestEqualsReferenceCg:
         assert assert_equals_reference(h, rng.standard_normal(vertices.size), cfg)[1].converged
         vertices = seeds.complement[g.degrees[seeds.complement] > 0]
         assert_equals_reference(restricted_laplacian(g, vertices), np.ones(vertices.size), cfg)
+
+    @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_unsorted_rows_and_index_dtypes(self, seed, index_dtype):
+        # H with each row's entries shuffled and its index arrays cast: the
+        # products sum in another order, but the same one as reference_cg's.
+        rng = np.random.default_rng(seed)
+        g = oracles.random_connected(150, 0.05, seed)
+        h = restricted_laplacian(g, np.arange(3, 150))
+        for lo, hi in zip(h.indptr[:-1], h.indptr[1:]):
+            order = lo + rng.permutation(hi - lo)
+            h.indices[lo:hi], h.data[lo:hi] = h.indices[order], h.data[order]
+        h.has_sorted_indices = False
+        h.indices, h.indptr = h.indices.astype(index_dtype), h.indptr.astype(index_dtype)
+        assert assert_equals_reference(h, np.sqrt(g.degrees[3:]))[1].converged
 
     @pytest.mark.parametrize("rel_tol", [1e-10, 1e-15])
     def test_path_2000_stops_at_the_floor(self, rel_tol):

@@ -57,12 +57,18 @@ def _tsv(header: str, *columns) -> str:
     return "\n".join([header, *(row % r for r in zip(*(c.tolist() for c in columns)))]) + "\n"
 
 
+def _load(path: str, load, *args):
+    """load(f, *args) on the file at path; a ValueError it raises names the path."""
+    with open(path) as f:
+        try:
+            return load(f, *args)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
 def _load_graph_and_seeds(args):
-    with open(args.graph) as f:
-        graph = load_edge_list(f)
-    with open(args.seeds) as f:
-        seeds = load_seed_file(f, graph.n_vertices)
-    return graph, seeds
+    graph = _load(args.graph, load_edge_list)
+    return graph, _load(args.seeds, load_seed_file, graph.n_vertices)
 
 
 def _cmd_moments(args) -> int:
@@ -103,7 +109,7 @@ def _cmd_expand(args) -> int:
 
     table = result.moments
     _atomic_write(args.out, _tsv("vertex_id\tmean\tvariance\tposterior_goal\tlabel",
-                                 result.vertices, table.mean, table.variance,
+                                 table.vertices, table.mean, table.variance,
                                  result.posterior, result.labels))
 
     sidecar = {
@@ -118,7 +124,7 @@ def _cmd_expand(args) -> int:
         "weights": {str(g): f.weights.tolist() for g, f in result.fits.items()},
         "em_iterations": {str(g): f.iterations for g, f in result.fits.items()},
         "goal_set_size": int(result.labels.sum()),
-        "unreachable": int((~result.reachable).sum()),
+        "unreachable": int((~table.reachable).sum()),
     }
     _atomic_write(args.out + ".json", json.dumps(sidecar, indent=2) + "\n")
     return 0
@@ -213,12 +219,13 @@ def _cmd_eval(args) -> int:
 
 def _cmd_relabel(args) -> int:
     mapping: dict[str, int] = {}
-    out_lines = []
-    with open(args.graph) as f:
-        for line_no, line in data_lines(f):
-            ids = [mapping.setdefault(t, len(mapping)) for t in edge_tokens(line_no, line)]
-            out_lines.append(f"{ids[0]} {ids[1]}")
-    _atomic_write(args.out, "\n".join(out_lines) + "\n")
+
+    def dense_lines(f) -> list[str]:
+        return ["%d %d" % tuple(mapping.setdefault(t, len(mapping))
+                                for t in edge_tokens(line_no, line))
+                for line_no, line in data_lines(f)]
+
+    _atomic_write(args.out, "\n".join(_load(args.graph, dense_lines)) + "\n")
     map_lines = [f"{name}\t{vid}" for name, vid in mapping.items()]
     _atomic_write(args.out + ".map.tsv", "\n".join(map_lines) + "\n")
     return 0

@@ -13,7 +13,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import cached_property, partial, reduce
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -85,14 +85,14 @@ class HitmixConfig:
             raise ValueError("g candidates must be one or more distinct integers >= 2")
         if self.em_max_iters < 1:
             raise ValueError("em_max_iters must be >= 1")
+        if not (0.0 <= self.em_rel_tol < 1.0):
+            raise ValueError("em_rel_tol must lie in [0, 1)")
 
 
 @dataclass
 class MembershipResult:
-    vertices: np.ndarray        # all non-seed global ids, ascending
-    posterior: np.ndarray       # P(v in goal set), 0 for unreachable
+    posterior: np.ndarray       # P(v in goal set) per row of moments, 0 for unreachable
     labels: np.ndarray          # bool, posterior > tau
-    reachable: np.ndarray
     selected_g: int
     goal_component: int
     bic_by_g: dict[int, float]
@@ -101,7 +101,7 @@ class MembershipResult:
 
     @property
     def goal_set(self) -> np.ndarray:
-        return self.vertices[self.labels]
+        return self.moments.vertices[self.labels]
 
     @property
     def fit(self) -> MixtureFit:
@@ -124,7 +124,8 @@ def lognormal_mom(m1: float | np.ndarray, m2: float | np.ndarray) -> LognormalPa
 
 
 def draw_pseudo_samples(moments: MomentTable, m: int, rng_seed: int) -> VertexSamples:
-    """Sufficient statistics of m lognormal variates per vertex from its MOM fit.
+    """Sufficient statistics of m lognormal variates per reachable vertex of
+    moments, in row order, from its MOM fit.
 
     With z_1..z_m iid N(0, 1), sum z ~ N(0, m), and sum z^2 - (sum z)^2 / m ~
     chi2_{m-1} independently of sum z (Cochran's theorem). Two variates per
@@ -134,10 +135,9 @@ def draw_pseudo_samples(moments: MomentTable, m: int, rng_seed: int) -> VertexSa
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if not moments.reachable.all():
-        raise ValueError("moments contain unreachable vertices; restrict first")
-    params = lognormal_mom(moments.mean, moments.variance)
-    ids = moments.vertices
+    reach = moments.reachable
+    params = lognormal_mom(moments.mean[reach], moments.variance[reach])
+    ids = moments.vertices[reach]
     size = int(ids.max()) + 1 if ids.size else 0
     z_sum = np.sqrt(m) * np.random.default_rng([rng_seed, 0]).standard_normal(size)[ids]
     # standard_gamma(0) is 0, so m = 1 needs no special case; chisquare(0) raises.
@@ -168,9 +168,8 @@ def em_fit(samples: VertexSamples, g: int, cfg: HitmixConfig | None = None, *,
     view work[:g].T; row g holds the per-vertex max and row g + 1 the total.
 
     The g-sized step (E-step weights, M-step, mixture weights) runs on Python
-    floats, and the max and total over the g rows are row-order chains; both
-    round as NumPy's axis-0 forms do. Every log and exp stays in NumPy, whose
-    SIMD loops (AVX-512) need not round like math's.
+    floats, which round as NumPy's arrays do. Every log and exp stays in NumPy,
+    whose SIMD loops (AVX-512) need not round like math's.
     """
     if cfg is None:
         cfg = HitmixConfig()
@@ -202,10 +201,10 @@ def em_fit(samples: VertexSamples, g: int, cfg: HitmixConfig | None = None, *,
                         for (mu, s2), c in zip(params, log_norm)], order="F")
         np.matmul(w_t, stats_t, out=joint)
         joint += np.log(pis)[:, None]
-        reduce(partial(np.maximum, out=top), joint)
+        np.maximum.reduce(joint, axis=0, out=top)
         joint -= top
         np.exp(joint, out=joint)
-        reduce(partial(np.add, out=total), joint)
+        np.add.reduce(joint, axis=0, out=total)
         joint /= total
         np.log(total, out=total)
         total += top
@@ -248,10 +247,9 @@ def hitmix(graph: Graph, seeds: SeedSet,
     if cfg is None:
         cfg = HitmixConfig()
     moments = compute_moments(graph, seeds, cfg.cg)
-    reach = moments.restrict_reachable()
-    samples = draw_pseudo_samples(reach, cfg.m, cfg.rng_seed)
+    samples = draw_pseudo_samples(moments, cfg.m, cfg.rng_seed)
 
-    n = reach.vertices.size
+    n = samples.s1.size
     # The fits are independent; NumPy and OpenBLAS release the GIL, so they run
     # on threads, largest g first. Each fit's work array is made here first: arrays
     # freed in a worker thread stay in its malloc arena and raise the peak RSS.
@@ -287,5 +285,4 @@ def hitmix(graph: Graph, seeds: SeedSet,
     posterior = np.zeros(moments.vertices.size)
     posterior[moments.reachable] = fit.responsibilities[:, goal]
     labels = posterior > cfg.tau
-    return MembershipResult(moments.vertices, posterior, labels, moments.reachable,
-                            selected_g, goal, bic_by_g, fits, moments)
+    return MembershipResult(posterior, labels, selected_g, goal, bic_by_g, fits, moments)

@@ -36,11 +36,6 @@ class MomentTable:
     reachable: np.ndarray     # bool
     cg_stats: list[CgStats]   # one per system, E T then E T^2
 
-    def restrict_reachable(self) -> "MomentTable":
-        mask = self.reachable
-        return MomentTable(self.vertices[mask], self.mean[mask], self.variance[mask],
-                           self.reachable[mask], self.cg_stats)
-
 
 def restricted_laplacian(graph: Graph, vertices: np.ndarray) -> sp.csr_matrix:
     """CSR H = I - D^{-1/2} A D^{-1/2} over a vertex subset. Off-diagonal entries

@@ -195,7 +195,7 @@ def _single_run(spec: SimulationSpec, cond_idx: int, run_idx: int) -> RunRecord:
                   value, run_idx, type(exc).__name__, exc)
         return RunRecord(value, run_idx, np.nan, np.nan, True, 0, np.nan, np.nan)
 
-    non_seed = result.vertices
+    non_seed = result.moments.vertices
     truth_labels = (labels[non_seed] == 0).astype(np.int64)
     pred_labels = result.labels.astype(np.int64)
     ari = adjusted_rand_index(pred_labels, truth_labels)
@@ -206,7 +206,7 @@ def _single_run(spec: SimulationSpec, cond_idx: int, run_idx: int) -> RunRecord:
     ll = np.asarray(fit.ll_history)
     max_dec = float(np.maximum(ll[:-1] - ll[1:], 0.0).max()) if ll.size > 1 else 0.0
     row_err = float(np.abs(fit.responsibilities.sum(axis=1) - 1.0).max())
-    unreachable = int((~result.reachable).sum())
+    unreachable = int((~result.moments.reachable).sum())
     return RunRecord(value, run_idx, ari, f1, False, unreachable, max_dec, row_err)
 
 

@@ -94,9 +94,22 @@ def test_relabel_and_load_share_the_token_message(tmp_path, caplog):
         load_edge_list(io.StringIO("# ids\n0 1\n0 1 2\n"))
     assert run(["relabel", "--graph", str(tmp_path / "bad.txt"),
                 "--out", str(tmp_path / "dense.txt")]) == 2
+    assert str(loaded.value) == "line 3: expected 2 tokens, got 3"
     assert [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR] \
-        == [str(loaded.value)] == ["line 3: expected 2 tokens, got 3"]
+        == [f"{tmp_path / 'bad.txt'}: {loaded.value}"]
     assert not (tmp_path / "dense.txt").exists()
+
+
+@pytest.mark.parametrize("bad, text, message", [
+    ("g.txt", "0 1\n1 2\n2 x\n", "line 3: non-integer vertex id in ['2', 'x']"),
+    ("s.txt", "2\nzz\n", "line 2: non-integer seed id 'zz'"),
+], ids=["graph", "seeds"])
+def test_parse_error_names_its_file(workdir, caplog, bad, text, message):
+    (workdir / bad).write_text(text)
+    assert run(["moments", "--graph", str(workdir / "g.txt"), "--seeds",
+                str(workdir / "s.txt"), "--out", str(workdir / "m.tsv")]) == 2
+    assert [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR] \
+        == [f"{workdir / bad}: {message}"]
 
 
 def test_tsv_rows_match_per_value_formatting():
@@ -266,6 +279,19 @@ def test_repeated_clusters_fail_before_any_solve(workdir, caplog, monkeypatch, c
     assert run([command, *args, "--out", str(out)]) == 2
     assert [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR] \
         == ["g candidates must be one or more distinct integers >= 2"]
+    assert calls == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("em_tol", ["-1", "nan"])
+def test_bad_em_tol_fails_before_any_solve(workdir, caplog, monkeypatch, em_tol):
+    calls = []
+    monkeypatch.setattr(hitmix.mixture, "compute_moments", lambda *a: calls.append(a))
+    out = workdir / "o.tsv"
+    assert run(["expand", "--graph", str(workdir / "g.txt"), "--seeds", str(workdir / "s.txt"),
+                "--clusters", "2", "--seed", "1", "--em-tol", em_tol, "--out", str(out)]) == 2
+    assert [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR] \
+        == ["em_rel_tol must lie in [0, 1)"]
     assert calls == []
     assert not out.exists()
 

@@ -164,11 +164,15 @@ class TestPseudoSamples:
         with pytest.raises(ValueError):
             draw_pseudo_samples(t, 0, 0)
 
-    def test_unreachable_rejected(self):
-        t = moment_table([0, 1], [1.0, 2.0], [1.0, 1.0])
-        t.reachable[1] = False
-        with pytest.raises(ValueError):
-            draw_pseudo_samples(t, 5, 0)
+    def test_unreachable_rows_are_skipped(self):
+        # Unreachable rows carry NaN moments, as compute_moments leaves them.
+        t = MomentTable(np.array([1, 4, 6, 9]), np.array([2.0, np.nan, 5.0, np.nan]),
+                        np.array([1.0, np.nan, 3.0, np.nan]),
+                        np.array([True, False, True, False]), [])
+        a = draw_pseudo_samples(t, 7, 4)
+        b = draw_pseudo_samples(moment_table([1, 6], [2.0, 5.0], [1.0, 3.0]), 7, 4)
+        assert a.s1.tobytes() == b.s1.tobytes()
+        assert a.s2.tobytes() == b.s2.tobytes()
 
 
 class TestEmFit:
@@ -322,7 +326,7 @@ class TestHitmix:
         g = load_edge_list(io.StringIO("0 1\n1 2\n3 4\n3 5\n4 5"))
         seeds = SeedSet.from_members([0], 6)
         res = hitmix(g, seeds, HitmixConfig(g_candidates=(2,), rng_seed=2))
-        unreachable = ~res.reachable
+        unreachable = ~res.moments.reachable
         assert unreachable.sum() == 3
         assert (res.posterior[unreachable] == 0.0).all()
         assert not res.labels[unreachable].any()
@@ -370,8 +374,7 @@ class TestHitmix:
         graph, labels = sample_sbm(SbmConfig(2, 1000, 0.012, 0.004), rng)
         seeds = sample_hitting_set(labels, 20, rng)
         cfg = HitmixConfig(g_candidates=(2, 3, 4, 5), rng_seed=3)
-        reach = compute_moments(graph, seeds, cfg.cg).restrict_reachable()
-        samples = draw_pseudo_samples(reach, cfg.m, cfg.rng_seed)
+        samples = draw_pseudo_samples(compute_moments(graph, seeds, cfg.cg), cfg.m, cfg.rng_seed)
         serial = {g: em_fit(samples, g, cfg) for g in cfg.g_candidates}
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         interval = sys.getswitchinterval()
@@ -476,6 +479,11 @@ class TestHitmixConfig:
             HitmixConfig(tau=1.5)
         with pytest.raises(ValueError):
             HitmixConfig(g_candidates=(1, 2))
+
+    @pytest.mark.parametrize("em_rel_tol", [-1.0, -1e-300, 1.0, np.inf, np.nan])
+    def test_em_rel_tol_outside_unit_interval_errors(self, em_rel_tol):
+        with pytest.raises(ValueError, match="em_rel_tol"):
+            HitmixConfig(em_rel_tol=em_rel_tol)
 
     @pytest.mark.parametrize("g_candidates", [(), (2, 2), (2, 3, 2)])
     def test_empty_or_repeated_g_candidates_error(self, g_candidates):

@@ -9,7 +9,6 @@ selection -> membership threshold.
 from __future__ import annotations
 
 import logging
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -119,7 +118,12 @@ def lognormal_mom(m1: float | np.ndarray, m2: float | np.ndarray) -> LognormalPa
         raise ValueError("mean must be positive")
     if (m2 < 0).any():
         raise ValueError("variance must be non-negative")
-    sigma2 = np.maximum(np.log1p(m2 / m1 ** 2), _SIGMA2_FLOOR)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ratio = m2 / m1 ** 2
+    if not np.isfinite(ratio).all():
+        raise ValueError("variance / mean**2 is not finite in float64: "
+                         "the mean is too small or the variance too large")
+    sigma2 = np.maximum(np.log1p(ratio), _SIGMA2_FLOOR)
     return LognormalParams(np.log(m1) - sigma2 / 2.0, sigma2)
 
 
@@ -147,85 +151,165 @@ def draw_pseudo_samples(moments: MomentTable, m: int, rng_seed: int) -> VertexSa
     return VertexSamples(s1, s2, m)
 
 
-def _log_normal_mle(count: float, sum1: float, sum2: float, m: int) -> tuple[float, float]:
-    """mu and floored sigma2 of log t from a (weighted) vertex count and s1, s2 sums."""
+def _log_normal_mle(count, sum1, sum2, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """mu and floored sigma2 of log t from (weighted) vertex counts and s1, s2
+    sums, elementwise over arrays of any one shape."""
     n_obs = m * count
     mu = sum1 / n_obs
-    return mu, max(sum2 / n_obs - mu * mu, _SIGMA2_FLOOR)
+    return mu, np.maximum(sum2 / n_obs - mu * mu, _SIGMA2_FLOOR)
+
+
+def _check_work(work: np.ndarray, shape: tuple[int, ...]) -> None:
+    if work.shape != shape or work.dtype != np.float64 or not work.flags.c_contiguous:
+        raise ValueError(f"work must be a C-contiguous float64 array of shape {shape}")
 
 
 def em_fit(samples: VertexSamples, g: int, cfg: HitmixConfig | None = None, *,
            work: np.ndarray | None = None) -> MixtureFit:
-    """EM for a g-component lognormal mixture over grouped vertex samples.
+    """EM for a g-component lognormal mixture over grouped vertex samples: the
+    one-run call of em_fit_batch. Raises the EmCollapseError that em_fit_batch
+    returns for a collapse.
+
+    work is a C-contiguous float64 (g + 2, n) array, made here if None: rows
+    [:g] hold the E-step and then the responsibilities, returned as the view
+    work[:g].T; row g holds the per-vertex max and row g + 1 the total.
+    """
+    n = samples.s1.size
+    work = np.empty((g + 2, n)) if work is None else work
+    _check_work(work, (g + 2, n))
+    fit, = em_fit_batch([samples], g, cfg, work=work[None])
+    if isinstance(fit, EmCollapseError):
+        raise fit
+    return fit
+
+
+def em_fit_batch(samples: list[VertexSamples], g: int, cfg: HitmixConfig | None = None, *,
+                 work: np.ndarray | None = None) -> list[MixtureFit | EmCollapseError]:
+    """em_fit over R runs at once: per run, in input order, its fit or the
+    EmCollapseError of the first M-step that left a component weight below 1e-12.
 
     log prod_j f(t_ij; theta_k) = -s1_i + [1, s1_i, s2_i] . w_k, so the E-step
-    is one (g x 3) @ (3 x n) product, reduced over g rows into (g, n)
-    responsibilities, and the M-step reads resp @ [1, s1, s2]. Raises
-    EmCollapseError at the first M-step that leaves a component weight below 1e-12.
-
-    The E-step runs in work, a C-contiguous float64 (g + 2, n) array, made here
-    if None: rows [:g] hold it and then the responsibilities, returned as the
-    view work[:g].T; row g holds the per-vertex max and row g + 1 the total.
-
-    The g-sized step (E-step weights, M-step, mixture weights) runs on Python
-    floats, which round as NumPy's arrays do. Every log and exp stays in NumPy,
-    whose SIMD loops (AVX-512) need not round like math's.
+    is one stacked (g x 3) @ (3 x n) product, reduced over the g rows into
+    responsibilities, and the M-step reads resp @ [1, s1, s2]. The runs are
+    zero-padded to the longest, n_max, and work is a C-contiguous float64
+    (R, g + 2, n_max) array laid out per run as em_fit's. The parameter step
+    runs on (R, g) arrays. A run leaves the batch when it converges, collapses
+    or reaches em_max_iters, and the rest are compacted. Each fit is bit for
+    bit what it is alone: padded vertices add exact zeros to the M-step, and
+    each run's log-likelihood is summed over exactly its own n entries. The
+    responsibilities of the runs that leave last are views of work; the others
+    are copied out.
     """
     if cfg is None:
         cfg = HitmixConfig()
     if g < 2:
         raise ValueError("g must be >= 2")
-    n, m = samples.s1.size, samples.m
-    if g > n:
-        raise ValueError(f"g = {g} exceeds number of vertices ({n})")
+    if not samples:
+        return []
+    m = samples[0].m
+    if any(s.m != m for s in samples):
+        raise ValueError("the runs of a batch must share m")
+    ns = np.array([s.s1.size for s in samples])
+    if g > ns.min():
+        raise ValueError(f"g = {g} exceeds number of vertices ({ns.min()})")
+    n_runs, n_max = ns.size, int(ns.max())
+    work = np.empty((n_runs, g + 2, n_max)) if work is None else work
+    _check_work(work, (n_runs, g + 2, n_max))
 
-    work = np.empty((g + 2, n)) if work is None else work
-    if work.shape != (g + 2, n) or work.dtype != np.float64 or not work.flags.c_contiguous:
-        raise ValueError(f"work must be a C-contiguous float64 array of shape {(g + 2, n)}")
-    joint, top, total = work[:g], work[g], work[g + 1]
-    stats, stats_t, sorted_stats = samples.em_stats
-    log_jacobian = -float(samples.s1.sum())
+    # Rows in falling n, so that runs of equal n are contiguous: each group's
+    # log-likelihoods are one pairwise sum per row over exactly its n entries.
+    ids = np.argsort(-ns, kind="stable")
+    ns = ns[ids]
+    runs = [samples[i] for i in ids.tolist()]
+    if n_runs == 1:
+        stats, stats_t, _ = runs[0].em_stats
+        stats, stats_t = stats[None], stats_t[None]
+    else:
+        stats = np.zeros((n_runs, n_max, 3))
+        for row, s in zip(stats, runs):
+            row[:s.s1.size] = s.em_stats[0]
+        stats_t = np.ascontiguousarray(stats.transpose(0, 2, 1))
+    log_jacobian = np.array([-float(s.s1.sum()) for s in runs])
 
     # Deterministic init: quantile split on the per-vertex mean of log t.
-    params = [_log_normal_mle(*part.sum(axis=0).tolist(), m)
-              for part in np.array_split(sorted_stats, g)]
-    pis = [1.0 / g] * g
+    start = np.array([[part.sum(axis=0) for part in np.array_split(s.em_stats[2], g)]
+                      for s in runs])
+    mus, sigma2s = _log_normal_mle(start[..., 0], start[..., 1], start[..., 2], m)
+    pis = np.full((n_runs, g), 1.0 / g)
 
-    ll_history: list[float] = []
-    ll = -np.inf
+    # Each item's transpose is the (g, 3) E-step weight matrix in the Fortran
+    # order that fixed-seed outputs were made with.
+    w = np.empty((n_runs, 3, g))
+    histories: list[list[float]] = [[] for _ in runs]
+    ll = np.full(n_runs, np.nan)  # NaN: no run converges at the first iteration
+    out: list = [None] * n_runs
+
+    def groups():
+        edges = [0, *(np.flatnonzero(np.diff(ns)) + 1).tolist(), ns.size]
+        return [(a, b, int(ns[a])) for a, b in zip(edges[:-1], edges[1:])]
+
+    def leave(rows, it, converged, mus, sigma2s, pis, last):
+        # at[r] is where row r's responsibilities lie in work.
+        for r in rows:
+            resp = work[at[r], :g, :ns[r]]
+            out[ids[r]] = MixtureFit(
+                g, [LognormalParams(mu, s2) for mu, s2 in zip(mus[r].tolist(), sigma2s[r].tolist())],
+                pis[r].copy(), (resp if last else resp.copy()).T, histories[r][-1], histories[r],
+                it, converged)
+
+    spans = groups()
     for it in range(1, cfg.em_max_iters + 1):
-        # E-step in log space, shifted by the per-vertex maximum, in place. w_t
-        # keeps the Fortran order that fixed-seed outputs were made with.
-        log_norm = np.log([2.0 * np.pi * s2 for _, s2 in params]).tolist()
-        w_t = np.array([[-0.5 * m * c - m * (mu * mu) / (2.0 * s2), mu / s2, -0.5 / s2]
-                        for (mu, s2), c in zip(params, log_norm)], order="F")
-        np.matmul(w_t, stats_t, out=joint)
-        joint += np.log(pis)[:, None]
-        np.maximum.reduce(joint, axis=0, out=top)
-        joint -= top
+        # E-step in log space, shifted by the per-vertex maximum, in place.
+        r = ns.size
+        at = range(r)
+        joint, top, total = work[:r, :g], work[:r, g], work[:r, g + 1]
+        w_r = w[:r]
+        w_r[:, 0] = -0.5 * m * np.log(2.0 * np.pi * sigma2s) - m * (mus * mus) / (2.0 * sigma2s)
+        np.divide(mus, sigma2s, out=w_r[:, 1])
+        np.divide(-0.5, sigma2s, out=w_r[:, 2])
+        np.matmul(w_r.transpose(0, 2, 1), stats_t, out=joint)
+        joint += np.log(pis)[:, :, None]
+        np.maximum.reduce(joint, axis=1, out=top)
+        joint -= top[:, None]
         np.exp(joint, out=joint)
-        np.add.reduce(joint, axis=0, out=total)
-        joint /= total
+        np.add.reduce(joint, axis=1, out=total)
+        joint /= total[:, None]
         np.log(total, out=total)
         total += top
-        ll_new = float(total.sum()) + log_jacobian
-        ll_history.append(ll_new)
-        converged = math.isfinite(ll) and abs(ll_new - ll) <= cfg.em_rel_tol * max(1.0, abs(ll))
+        ll_new = np.concatenate([total[a:b, :n].sum(axis=1) for a, b, n in spans])
+        ll_new += log_jacobian
+        for history, value in zip(histories, ll_new.tolist()):
+            history.append(value)
+        converged = np.abs(ll_new - ll) <= cfg.em_rel_tol * np.maximum(1.0, np.abs(ll))
         ll = ll_new
-        if converged:
+        if converged.all():
+            leave(range(ns.size), it, True, mus, sigma2s, pis, True)
             break
 
         # M-step. Under OpenBLAS this form rounds like the product over an
         # (n, g) layout that fixed-seed outputs were made with; resp @ stats
         # rounds differently at g = 2 and 3.
-        sums = (stats.T @ joint.T).T.tolist()
-        pis = [count / n for count, _, _ in sums]
-        if any(pi < _COLLAPSE_EPS for pi in pis):
-            raise EmCollapseError(f"EM component collapsed (g={g}, iter={it})")
-        params = [_log_normal_mle(*row, m) for row in sums]
-
-    components = [LognormalParams(mu, s2) for mu, s2 in params]
-    return MixtureFit(g, components, np.array(pis), joint.T, ll, ll_history, it, converged)
+        sums = np.matmul(stats.transpose(0, 2, 1), joint.transpose(0, 2, 1))
+        new_pis = sums[:, 0] / ns[:, None]
+        leaving = converged | (new_pis < _COLLAPSE_EPS).any(axis=1)
+        last = it == cfg.em_max_iters
+        if leaving.any():
+            leave(np.flatnonzero(converged).tolist(), it, True, mus, sigma2s, pis, last)
+            for row in np.flatnonzero(leaving & ~converged).tolist():
+                out[ids[row]] = EmCollapseError(f"EM component collapsed (g={g}, iter={it})")
+            keep = ~leaving
+            if not keep.any():
+                break
+            at = np.flatnonzero(keep)
+            sums, new_pis, ns, ids, ll = sums[keep], new_pis[keep], ns[keep], ids[keep], ll[keep]
+            stats, stats_t, log_jacobian = stats[keep], stats_t[keep], log_jacobian[keep]
+            histories = [h for h, k in zip(histories, keep.tolist()) if k]
+            spans = groups()
+        mus, sigma2s = _log_normal_mle(sums[:, 0], sums[:, 1], sums[:, 2], m)
+        pis = new_pis
+        if last:
+            leave(range(ns.size), it, False, mus, sigma2s, pis, True)
+    return out
 
 
 def bic(fit: MixtureFit, n_vertices: int, m: int) -> float:
@@ -239,50 +323,88 @@ def component_means(fit: MixtureFit) -> np.ndarray:
     return np.array([np.exp(c.mu + c.sigma2 / 2.0) for c in fit.components])
 
 
-def hitmix(graph: Graph, seeds: SeedSet,
-           cfg: HitmixConfig | None = None) -> MembershipResult:
-    """Full pipeline: moments -> pseudo-samples -> EM over g candidates ->
-    BIC selection -> goal membership at threshold tau. A g whose EM collapses
-    is skipped with a warning; EmCollapseError is raised only if no g fits."""
-    if cfg is None:
-        cfg = HitmixConfig()
-    moments = compute_moments(graph, seeds, cfg.cg)
-    samples = draw_pseudo_samples(moments, cfg.m, cfg.rng_seed)
+def _fits_by_g(calls: dict) -> dict:
+    """calls[g]() for each g: its result, or the EmCollapseError it raised.
 
-    n = samples.s1.size
-    # The fits are independent; NumPy and OpenBLAS release the GIL, so they run
-    # on threads, largest g first. Each fit's work array is made here first: arrays
-    # freed in a worker thread stay in its malloc arena and raise the peak RSS.
-    samples.em_stats  # computed once, before the threads share it
-    # calls[g](), for each feasible g, returns its fit or raises what EM raised.
-    calls = {g: partial(em_fit, samples, g, cfg, work=np.empty((g + 2, n)))
-             for g in cfg.g_candidates if g <= n}
-    # os.cpu_count() reads sysfs on every call, so one feasible g skips it.
+    The fits are independent; NumPy and OpenBLAS release the GIL, so with more
+    than one g they run on threads, largest g first. The callers make each
+    fit's work array first: arrays freed in a worker thread stay in its malloc
+    arena and raise the peak RSS. os.cpu_count() reads sysfs on every call, so
+    one g skips it.
+    """
     workers = min(len(calls), os.cpu_count() or 1) if len(calls) > 1 else 1
     if workers > 1:
         with ThreadPoolExecutor(workers) as pool:
             calls = {g: pool.submit(calls[g]).result for g in sorted(calls, reverse=True)}
+    fits = {}
+    for g, call in calls.items():
+        try:
+            fits[g] = call()
+        except EmCollapseError as exc:
+            fits[g] = exc
+    return fits
 
-    fits: dict[int, MixtureFit] = {}
+
+def fit_candidates(samples: list[VertexSamples], cfg: HitmixConfig
+                   ) -> list[dict[int, MixtureFit | EmCollapseError]]:
+    """One em_fit_batch per g of cfg.g_candidates over the runs with at least g
+    vertices. Per run, in input order: g -> its fit or its collapse, for each
+    feasible g."""
+    sizes = [s.s1.size for s in samples]
+    for s in samples:
+        s.em_stats  # computed once, before the threads share it
+    rows = {g: [i for i, n in enumerate(sizes) if g <= n] for g in cfg.g_candidates}
+    calls = {g: partial(em_fit_batch, [samples[i] for i in idx], g, cfg,
+                        work=np.empty((len(idx), g + 2, max(sizes[i] for i in idx))))
+             for g, idx in rows.items() if idx}
+    out: list[dict] = [{} for _ in samples]
+    for g, fits in _fits_by_g(calls).items():
+        for i, fit in zip(rows[g], fits):
+            out[i][g] = fit
+    return out
+
+
+def select_membership(moments: MomentTable, fits: dict[int, MixtureFit | EmCollapseError],
+                      cfg: HitmixConfig) -> MembershipResult:
+    """BIC selection over the fits of one instance -> goal membership at
+    threshold tau. A g of cfg.g_candidates that has no fit (more components
+    than vertices) or whose EM collapsed is skipped with a warning;
+    EmCollapseError is raised only if no g fits."""
+    fitted: dict[int, MixtureFit] = {}
     collapse = None
     for g in cfg.g_candidates:
-        if g not in calls:
+        fit = fits.get(g)
+        if fit is None:
             log.warning("skipping g=%d: more components than vertices", g)
-            continue
-        try:
-            fits[g] = calls[g]()
-        except EmCollapseError as exc:
-            log.warning("skipping g=%d: %s", g, exc)
-            collapse = exc
-    if not fits:
+        elif isinstance(fit, EmCollapseError):
+            log.warning("skipping g=%d: %s", g, fit)
+            collapse = fit
+        else:
+            fitted[g] = fit
+    if not fitted:
         raise collapse or ValueError("no feasible g candidate for this instance")
-    bic_by_g = {g: bic(fit, n, cfg.m) for g, fit in fits.items()}
+    bic_by_g = {g: bic(fit, len(fit.responsibilities), cfg.m) for g, fit in fitted.items()}
 
     selected_g = min(bic_by_g, key=lambda g: (bic_by_g[g], g))
-    fit = fits[selected_g]
+    fit = fitted[selected_g]
     goal = int(np.argmin(component_means(fit)))
 
     posterior = np.zeros(moments.vertices.size)
     posterior[moments.reachable] = fit.responsibilities[:, goal]
     labels = posterior > cfg.tau
-    return MembershipResult(posterior, labels, selected_g, goal, bic_by_g, fits, moments)
+    return MembershipResult(posterior, labels, selected_g, goal, bic_by_g, fitted, moments)
+
+
+def hitmix(graph: Graph, seeds: SeedSet,
+           cfg: HitmixConfig | None = None) -> MembershipResult:
+    """Full pipeline for one instance: moments -> pseudo-samples -> em_fit over
+    the g candidates -> select_membership."""
+    if cfg is None:
+        cfg = HitmixConfig()
+    moments = compute_moments(graph, seeds, cfg.cg)
+    samples = draw_pseudo_samples(moments, cfg.m, cfg.rng_seed)
+    n = samples.s1.size
+    samples.em_stats  # computed once, before the threads share it
+    calls = {g: partial(em_fit, samples, g, cfg, work=np.empty((g + 2, n)))
+             for g in cfg.g_candidates if g <= n}
+    return select_membership(moments, _fits_by_g(calls), cfg)

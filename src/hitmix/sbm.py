@@ -5,13 +5,15 @@ from __future__ import annotations
 import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .graph import Graph, SeedSet
 from .metrics import adjusted_rand_index, precision_recall_f1
-from .mixture import HitmixConfig, hitmix
+from .mixture import (HitmixConfig, MembershipResult, draw_pseudo_samples, fit_candidates,
+                      select_membership)
+from .moments import compute_moments
 from .solver import HitmixError
 
 log = logging.getLogger(__name__)
@@ -180,23 +182,14 @@ class McSummary:
         return np.array([c.ari_mean for c in self.conditions])
 
 
-def _single_run(spec: SimulationSpec, cond_idx: int, run_idx: int) -> RunRecord:
-    value = spec.values[cond_idx]
-    sbm_cfg, hs_size = spec.condition(value)
-    rng = np.random.default_rng([spec.seed, cond_idx, run_idx])
-    graph, labels = sample_sbm(sbm_cfg, rng)
-    seeds = sample_hitting_set(labels, hs_size, rng)
-    hm_cfg = replace(spec.hitmix_cfg,
-                     rng_seed=int(rng.integers(0, 2 ** 31 - 1)))
-    try:
-        result = hitmix(graph, seeds, hm_cfg)
-    except (HitmixError, ValueError) as exc:
-        log.error("hitmix failed (condition=%s run=%d): %s: %s",
-                  value, run_idx, type(exc).__name__, exc)
-        return RunRecord(value, run_idx, np.nan, np.nan, True, 0, np.nan, np.nan)
+# A chunk of runs is fitted as one batch; its runs hold at most this many
+# vertices in all, which bounds the memory of its padded EM arrays.
+_CHUNK_VERTICES = 1 << 17
 
+
+def _score(value, run_idx: int, block_labels: np.ndarray, result: MembershipResult) -> RunRecord:
     non_seed = result.moments.vertices
-    truth_labels = (labels[non_seed] == 0).astype(np.int64)
+    truth_labels = (block_labels[non_seed] == 0).astype(np.int64)
     pred_labels = result.labels.astype(np.int64)
     ari = adjusted_rand_index(pred_labels, truth_labels)
     truth_set = non_seed[truth_labels == 1]
@@ -210,25 +203,66 @@ def _single_run(spec: SimulationSpec, cond_idx: int, run_idx: int) -> RunRecord:
     return RunRecord(value, run_idx, ari, f1, False, unreachable, max_dec, row_err)
 
 
-def _run_star(args):
-    return _single_run(*args)
+def _run_chunk(job: tuple[SimulationSpec, int, range]) -> list[RunRecord]:
+    """The runs of one condition, in three phases: sample each instance and draw
+    its pseudo-samples; fit every feasible g over all of them in one batch;
+    select, score and log each run in run order."""
+    spec, cond_idx, runs = job
+    value = spec.values[cond_idx]
+    sbm_cfg, hs_size = spec.condition(value)
+    cfg = spec.hitmix_cfg
+    prepared = []
+    for run_idx in runs:
+        rng = np.random.default_rng([spec.seed, cond_idx, run_idx])
+        graph, labels = sample_sbm(sbm_cfg, rng)
+        seeds = sample_hitting_set(labels, hs_size, rng)
+        rng_seed = int(rng.integers(0, 2 ** 31 - 1))
+        try:
+            moments = compute_moments(graph, seeds, cfg.cg)
+            prepared.append((labels, moments, draw_pseudo_samples(moments, cfg.m, rng_seed)))
+        except (HitmixError, ValueError) as exc:
+            prepared.append(exc)
+    fits = iter(fit_candidates([p[2] for p in prepared if isinstance(p, tuple)], cfg))
+
+    records = []
+    for run_idx, p in zip(runs, prepared):
+        try:
+            if isinstance(p, Exception):
+                raise p
+            labels, moments, _ = p
+            result = select_membership(moments, next(fits), cfg)
+        except (HitmixError, ValueError) as exc:
+            log.error("hitmix failed (condition=%s run=%d): %s: %s",
+                      value, run_idx, type(exc).__name__, exc)
+            records.append(RunRecord(value, run_idx, np.nan, np.nan, True, 0, np.nan, np.nan))
+            continue
+        records.append(_score(value, run_idx, labels, result))
+    return records
 
 
 def run_simulation(spec: SimulationSpec) -> McSummary:
     """Monte Carlo sweep: sample, expand, score, aggregate per condition.
 
     Per-run RNG streams are keyed by (master seed, condition index, run
-    index), so results are reproducible independently of worker scheduling.
+    index), and each run's fit is the same whatever shares its batch, so
+    results do not depend on workers or on how the runs are chunked. A
+    condition's runs are split into chunks of at most _CHUNK_VERTICES vertices
+    in all (or of one run, if it has more), and into at least as many chunks
+    as there are workers.
     """
-    jobs = [(spec, ci, ri)
-            for ci in range(len(spec.values))
-            for ri in range(spec.mc_samples)]
     workers = min(spec.workers, os.cpu_count() or 1)
+    jobs = []
+    for ci, value in enumerate(spec.values):
+        size = max(1, min(-(-spec.mc_samples // workers),
+                          _CHUNK_VERTICES // spec.condition(value)[0].n_vertices))
+        jobs += [(spec, ci, range(lo, min(lo + size, spec.mc_samples)))
+                 for lo in range(0, spec.mc_samples, size)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_run_star, jobs, chunksize=4))
+            chunks = list(pool.map(_run_chunk, jobs))
     else:
-        records = [_single_run(*j) for j in jobs]
+        chunks = [_run_chunk(job) for job in jobs]
+    records = [r for chunk in chunks for r in chunk]
 
     conditions = []
     for ci, value in enumerate(spec.values):

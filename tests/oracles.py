@@ -6,23 +6,30 @@ with it; the breadth-first search checks `hitmix.graph.reachable_from`;
 `reference_em_fit` is EM with its parameter step in NumPy arrays, which
 `hitmix.mixture.em_fit` must equal bit for bit; `reference_cg` is conjugate
 gradients that test ||x|| at every step, which
-`hitmix.solver.conjugate_gradient` must equal bit for bit.
+`hitmix.solver.conjugate_gradient` must equal bit for bit; `reference_run` is
+one sbm-sim run through the one-instance pipeline `hitmix()`, which every
+record of `hitmix.sbm.run_simulation` must equal.
 """
 
+import logging
 import math
 
 import io
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from hitmix.graph import Graph, SeedSet, load_edge_list, reachable_from
+from hitmix.metrics import adjusted_rand_index, precision_recall_f1
 from hitmix.mixture import (EmCollapseError, HitmixConfig, LognormalParams,
-                            MixtureFit, VertexSamples)
-from hitmix.sbm import SbmConfig, sample_sbm
-from hitmix.solver import _BACKWARD_ERROR_FLOOR, CgConfig, CgStats, NonSpdError
+                            MixtureFit, VertexSamples, hitmix)
+from hitmix.sbm import RunRecord, SbmConfig, SimulationSpec, sample_hitting_set, sample_sbm
+from hitmix.solver import _BACKWARD_ERROR_FLOOR, CgConfig, CgStats, HitmixError, NonSpdError
+
+log = logging.getLogger("hitmix.sbm")
 
 
 def path3():
@@ -135,6 +142,34 @@ def reference_em_fit(samples: VertexSamples, g: int, cfg: HitmixConfig) -> Mixtu
 
     components = [LognormalParams(float(mus[k]), float(sigma2s[k])) for k in range(g)]
     return MixtureFit(g, components, pis, joint.T, ll, ll_history, it, converged)
+
+
+def reference_run(spec: SimulationSpec, cond_idx: int, run_idx: int) -> RunRecord:
+    """One sbm-sim run on its own: sample the instance, hitmix() it, score it.
+    A HitmixError or ValueError becomes a failed record and one ERROR line."""
+    value = spec.values[cond_idx]
+    sbm_cfg, hs_size = spec.condition(value)
+    rng = np.random.default_rng([spec.seed, cond_idx, run_idx])
+    graph, labels = sample_sbm(sbm_cfg, rng)
+    seeds = sample_hitting_set(labels, hs_size, rng)
+    hm_cfg = replace(spec.hitmix_cfg, rng_seed=int(rng.integers(0, 2 ** 31 - 1)))
+    try:
+        result = hitmix(graph, seeds, hm_cfg)
+    except (HitmixError, ValueError) as exc:
+        log.error("hitmix failed (condition=%s run=%d): %s: %s",
+                  value, run_idx, type(exc).__name__, exc)
+        return RunRecord(value, run_idx, np.nan, np.nan, True, 0, np.nan, np.nan)
+
+    non_seed = result.moments.vertices
+    truth_labels = (labels[non_seed] == 0).astype(np.int64)
+    ari = adjusted_rand_index(result.labels.astype(np.int64), truth_labels)
+    _, _, f1 = precision_recall_f1(result.goal_set, non_seed[truth_labels == 1])
+    fit = result.fit
+    ll = np.asarray(fit.ll_history)
+    max_dec = float(np.maximum(ll[:-1] - ll[1:], 0.0).max()) if ll.size > 1 else 0.0
+    row_err = float(np.abs(fit.responsibilities.sum(axis=1) - 1.0).max())
+    unreachable = int((~result.moments.reachable).sum())
+    return RunRecord(value, run_idx, ari, f1, False, unreachable, max_dec, row_err)
 
 
 def reference_done(r_norm, x, b_norm, cfg):

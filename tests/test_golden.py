@@ -54,6 +54,14 @@ def _sbm_sim_config(d):
                                "block_size = 30\nhitting_set_size = 5\nseed = 3\n")
 
 
+def _sbm_sim_auto_config(d):
+    # The small config of sbm_sim with g = 2..5: every run fits all four g,
+    # and BIC picks one of them.
+    _sbm_sim_config(d)
+    with open(d / "sim.cfg", "a") as f:
+        f.write("clusters = auto\n")
+
+
 GRAPH_ARGS = ["--graph", "g.txt", "--seeds", "s.txt", "--out", "out.tsv"]
 
 CASES = {
@@ -68,6 +76,10 @@ CASES = {
         "out.tsv.json": "75f901b16ddb0fd806a64312db99100c4b9d520741743c3cc37b12f64c2f7048",
     }),
     "sbm_sim": (_sbm_sim_config, ["sbm-sim", "--config", "sim.cfg", "--out", "sim"], {
+        "sim/runs.csv": "5e3fa7299cd8b18c719d969fa67eebc696396d38520fa322decc026f0f91b075",
+        "sim/summary.csv": "132b41c7a839eca9354e65da4f821da594fd94011bea04b3dead5284cf112000",
+    }),
+    "sbm_sim_auto": (_sbm_sim_auto_config, ["sbm-sim", "--config", "sim.cfg", "--out", "sim"], {
         "sim/runs.csv": "5e3fa7299cd8b18c719d969fa67eebc696396d38520fa322decc026f0f91b075",
         "sim/summary.csv": "132b41c7a839eca9354e65da4f821da594fd94011bea04b3dead5284cf112000",
     }),

@@ -1,6 +1,7 @@
 import io
 import os
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -12,20 +13,27 @@ from scipy.stats import lognorm
 from hitmix.graph import Graph, SeedSet, load_edge_list
 from hitmix.mixture import (EmCollapseError, HitmixConfig, MomentTable,
                             VertexSamples, bic, component_means,
-                            draw_pseudo_samples, em_fit, hitmix, lognormal_mom)
+                            draw_pseudo_samples, em_fit, em_fit_batch, hitmix,
+                            lognormal_mom)
 from hitmix.moments import compute_moments
 from oracles import reference_em_fit
 
 
-def fit_bits(fit_fn, samples, g, cfg):
-    """Everything a fit returns, as bytes where it is an array, or the message
-    of the EmCollapseError it raises."""
-    try:
-        fit = fit_fn(samples, g, cfg)
-    except EmCollapseError as exc:
-        return str(exc)
+def bits(fit):
+    """Everything a fit holds, as bytes where it is an array, or the message of
+    an EmCollapseError in its place."""
+    if isinstance(fit, EmCollapseError):
+        return str(fit)
     return (fit.responsibilities.tobytes(), np.array(fit.ll_history).tobytes(),
             fit.iterations, fit.converged, fit.weights.tobytes(), fit.components)
+
+
+def fit_bits(fit_fn, samples, g, cfg):
+    """bits of what fit_fn returns, or of the EmCollapseError it raises."""
+    try:
+        return bits(fit_fn(samples, g, cfg))
+    except EmCollapseError as exc:
+        return bits(exc)
 
 
 def lognormal_moments(mu, sigma2):
@@ -89,6 +97,17 @@ class TestLognormalMom:
             lognormal_mom(0.0, 1.0)
         with pytest.raises(ValueError):
             lognormal_mom(-2.0, 1.0)
+
+    @pytest.mark.parametrize("m1, m2", [
+        (1e-200, 1.0), (1e-160, 1.0), (1e-200, 0.0), ([1.0, 1e-200], [1.0, 1.0])],
+        ids=["divide-by-zero", "overflow", "zero-over-zero", "one-row-of-an-array"])
+    def test_ratio_outside_float64_errors(self, m1, m2):
+        # mean**2 underflows (to 0 or a subnormal): the ratio was inf or NaN, and
+        # the fit went on with mu = -inf and sigma2 = inf.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^variance / mean\*\*2 is not finite"):
+                lognormal_mom(m1, m2)
 
     @settings(max_examples=200, deadline=None)
     @given(mu=st.floats(-2.0, 3.0), sigma2=st.floats(0.01, 4.0))
@@ -270,6 +289,65 @@ class TestEmFit:
             em_fit(vs, 4)
         with pytest.raises(ValueError):
             em_fit(vs, 1)
+
+
+def random_samples(n, m, groups, seed):
+    """Statistics of n vertices whose mean log t falls into a few groups."""
+    rng = np.random.default_rng(seed)
+    log_means = rng.normal(0.0, 2.0, groups)[rng.integers(0, groups, n)]
+    log_means += 0.1 * rng.standard_normal(n)
+    means = np.exp(log_means)
+    table = moment_table(np.arange(n), means, means ** 2 * rng.uniform(0.01, 1.0))
+    return draw_pseudo_samples(table, m, seed)
+
+
+class TestEmFitBatch:
+    @settings(max_examples=40, deadline=None)
+    @given(sizes=st.lists(st.integers(2, 400), min_size=1, max_size=6),
+           g=st.integers(2, 6), m=st.integers(1, 40), max_iters=st.integers(1, 60),
+           groups=st.integers(1, 3), seed=st.integers(0, 2 ** 31 - 1))
+    def test_equals_em_fit_run_by_run(self, sizes, g, m, max_iters, groups, seed):
+        # Ragged n is zero-padded to the longest run; with at most 60 iterations
+        # some runs stop at the cap and leave the batch before others.
+        assume(g <= min(sizes))
+        samples = [random_samples(n, m, groups, seed + i) for i, n in enumerate(sizes)]
+        cfg = HitmixConfig(em_max_iters=max_iters)
+        alone = [fit_bits(em_fit, s, g, cfg) for s in samples]
+        assert [bits(f) for f in em_fit_batch(samples, g, cfg)] == alone
+        # A fit's bytes do not depend on the other runs in its batch.
+        assert [bits(f) for f in em_fit_batch(samples[::-1], g, cfg)] == alone[::-1]
+
+    def test_collapse_leaves_the_other_runs_unchanged(self):
+        # three_separated_groups collapses at g = 4 in the first M-step.
+        samples = [random_samples(300, 31, 2, 1), three_separated_groups(),
+                   random_samples(150, 31, 3, 2)]
+        cfg = HitmixConfig()
+        fits = em_fit_batch(samples, 4, cfg)
+        assert isinstance(fits[1], EmCollapseError)
+        assert str(fits[1]) == "EM component collapsed (g=4, iter=1)"
+        with pytest.raises(EmCollapseError, match=r"^EM component collapsed \(g=4, iter=1\)$"):
+            em_fit(samples[1], 4, cfg)
+        for s, fit in zip(samples, fits):
+            assert bits(fit) == fit_bits(em_fit, s, 4, cfg)
+
+    def test_runs_that_leave_early_own_their_responsibilities(self):
+        # They converge after 7, 4 and 11 iterations; only the last one's
+        # responsibilities stay a view of the batch's (R, g + 2, n_max) work.
+        samples = [random_samples(120, 25, 2, 0), random_samples(90, 25, 2, 1),
+                   random_samples(60, 25, 2, 0)]
+        fits = em_fit_batch(samples, 2, HitmixConfig())
+        assert [f.iterations for f in fits] == [7, 4, 11]
+        last = max(fits, key=lambda f: f.iterations)
+        for fit in fits:
+            assert fit.responsibilities.base is not None
+            assert (fit is last) == (fit.responsibilities.base.ndim == 3)
+
+    def test_infeasible_run_or_mixed_m_errors(self):
+        with pytest.raises(ValueError, match=r"^g = 4 exceeds number of vertices \(3\)$"):
+            em_fit_batch([random_samples(50, 5, 1, 0), random_samples(3, 5, 1, 1)], 4)
+        with pytest.raises(ValueError, match=r"share m"):
+            em_fit_batch([random_samples(50, 5, 1, 0), random_samples(50, 6, 1, 1)], 2)
+        assert em_fit_batch([], 2) == []
 
 
 class TestBic:

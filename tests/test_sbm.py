@@ -9,6 +9,7 @@ from hitmix.mixture import EmCollapseError, HitmixConfig
 from hitmix.sbm import (SbmConfig, SimulationSpec, _triangle_pairs, run_simulation,
                         runs_csv_lines, sample_hitting_set, sample_sbm,
                         summary_csv_lines)
+from oracles import reference_run
 
 
 class TestSampler:
@@ -148,15 +149,41 @@ class TestRunSimulation:
     def test_only_numerical_and_input_errors_become_failures(self, monkeypatch, caplog):
         # workers=1: the patched name is not seen by worker processes
         spec = small_spec(values=[0.3], mc_samples=2, workers=1)
-        monkeypatch.setattr(hitmix.sbm, "hitmix", Mock(side_effect=TypeError("bug")))
+        monkeypatch.setattr(hitmix.sbm, "select_membership", Mock(side_effect=TypeError("bug")))
         with pytest.raises(TypeError):
             run_simulation(spec)
-        monkeypatch.setattr(hitmix.sbm, "hitmix",
+        monkeypatch.setattr(hitmix.sbm, "select_membership",
                             Mock(side_effect=EmCollapseError("collapsed")))
         s = run_simulation(spec)
         assert s.conditions[0].failures == 2 and all(r.failed for r in s.runs)
         assert "EmCollapseError: collapsed" in caplog.text
         assert "Traceback" not in caplog.text
+
+    def test_records_and_log_lines_equal_the_one_instance_pipeline(self, caplog):
+        # p_out = 0: at p_in = 0 every vertex is isolated, so each run fails
+        # with no feasible g; at p_in 0.3 and 0.2 block 1 is unreachable.
+        spec = small_spec(values=[0.3, 0.0, 0.2], p_out=0.0,
+                          hitmix_cfg=HitmixConfig(g_candidates=(2, 3)))
+        want = [reference_run(spec, ci, ri) for ci in range(len(spec.values))
+                for ri in range(spec.mc_samples)]
+        want_log = [(r.levelname, r.getMessage()) for r in caplog.records]
+        caplog.clear()
+        got = run_simulation(spec).runs
+        assert [repr(r) for r in got] == [repr(r) for r in want]
+        assert [(r.levelname, r.getMessage()) for r in caplog.records] == want_log
+        assert sum(r.failed for r in got) == spec.mc_samples
+        assert any(r.unreachable for r in got if not r.failed)
+
+    @pytest.mark.parametrize("chunk_vertices", [1, 200])
+    def test_chunking_does_not_change_results(self, monkeypatch, chunk_vertices):
+        # 80 vertices per instance: chunks of one run, then of two.
+        cfg = HitmixConfig(g_candidates=(2, 3))
+        a = run_simulation(small_spec(hitmix_cfg=cfg))
+        monkeypatch.setattr(hitmix.sbm, "_CHUNK_VERTICES", chunk_vertices)
+        b = run_simulation(small_spec(hitmix_cfg=cfg))
+        assert runs_csv_lines(a) == runs_csv_lines(b)
+        assert summary_csv_lines(a) == summary_csv_lines(b)
+        assert [repr(r) for r in a.runs] == [repr(r) for r in b.runs]
 
     def test_scale_p_out_rule(self):
         spec = small_spec(sweep="n_blocks", values=[3], p_out=0.05,

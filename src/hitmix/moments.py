@@ -9,12 +9,13 @@ coefficient matrix H = I - D^{-1/2} A D^{-1/2} is SPD, then mapped back.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 import scipy.sparse as sp
 
 from .graph import Graph, SeedSet, reachable_from
-from .solver import CgConfig, CgStats, HitmixError, conjugate_gradient
+from .solver import CgConfig, CgStats, HitmixError, conjugate_gradient_blocks
 
 
 class MomentConvergenceError(HitmixError):
@@ -53,35 +54,98 @@ def restricted_laplacian(graph: Graph, vertices: np.ndarray) -> sp.csr_matrix:
 
 def compute_moments(graph: Graph, seeds: SeedSet,
                     cfg: CgConfig | None = None) -> MomentTable:
-    """Solve the E T and E T^2 systems and assemble mean/variance."""
+    """Solve the E T and E T^2 systems and assemble mean/variance: the
+    one-instance call of compute_moments_batch. Raises the error it returns."""
+    table, = compute_moments_batch([(graph, seeds)], cfg)
+    if isinstance(table, Exception):
+        raise table
+    return table
+
+
+def _join(instances: list[tuple[Graph, SeedSet]]) -> tuple[Graph, SeedSet, list[int]]:
+    """The instances as one block-diagonal graph and its seed set, with vertex
+    ids offset per instance, and where each instance's rows of the joined
+    seeds.complement start. A lone instance is returned as it is."""
+    offsets = list(accumulate((s.complement.size for _, s in instances), initial=0))
+    if len(instances) == 1:
+        return *instances[0], offsets
+    n, nnz = 0, 0
+    indptr, indices, members, complement = [], [], [], []
+    for graph, seeds in instances:
+        a = graph.adjacency
+        indptr.append(a.indptr[:-1] + nnz)
+        indices.append(a.indices + n)
+        members += [m + n for m in seeds.members]
+        complement.append(seeds.complement + n)
+        n, nnz = n + graph.n_vertices, nnz + a.nnz
+    # Offset canonical blocks stay canonical, and their float64 data read-only.
+    data = np.concatenate([g.adjacency.data for g, _ in instances])
+    adjacency = sp.csr_matrix((data, np.concatenate(indices), np.concatenate(indptr + [[nnz]])),
+                              shape=(n, n))
+    degrees = np.concatenate([g.degrees for g, _ in instances])
+    data.flags.writeable = degrees.flags.writeable = False
+    return (Graph(n, adjacency, degrees), SeedSet(frozenset(members), np.concatenate(complement)),
+            offsets)
+
+
+def compute_moments_batch(instances: list[tuple[Graph, SeedSet]], cfg: CgConfig | None = None
+                          ) -> list[MomentTable | HitmixError | ValueError]:
+    """compute_moments over R (graph, seeds) instances at once: per instance, in
+    input order, its MomentTable or the error compute_moments raises for it.
+
+    The instances are joined into one block-diagonal graph, so one
+    reachable_from, one restricted_laplacian and, per moment, one
+    conjugate_gradient_blocks serve them all. Each instance's H is a diagonal
+    block of the joined one, entry for entry, and its solves are bit for bit
+    those of its own, so each table is what compute_moments gives alone. An
+    instance whose first solve fails has a zero rhs in the second.
+    """
     if cfg is None:
         cfg = CgConfig()
+    graph, seeds, starts = _join(instances)
     reachable = reachable_from(graph, seeds)
-    if not reachable.any():
-        raise ValueError("no non-seed vertex can reach the seed set")
+    masks = [reachable[lo:hi] for lo, hi in zip(starts, starts[1:])]
+    bounds = list(accumulate((int(np.count_nonzero(m)) for m in masks), initial=0))
+    out: list = [None if hi > lo else ValueError("no non-seed vertex can reach the seed set")
+                 for lo, hi in zip(bounds, bounds[1:])]
+    if bounds[-1] == 0:
+        return out
 
     vertices = seeds.complement[reachable]
     h = restricted_laplacian(graph, vertices)
     sqrt_deg = np.sqrt(graph.degrees[vertices])
-    stats: list[CgStats] = []
+    stats: list[list[CgStats]] = [[] for _ in instances]
 
     def solve(order: int, b: np.ndarray) -> np.ndarray:
-        x_tilde, st = conjugate_gradient(h, sqrt_deg * b, cfg)
-        if not st.converged:
-            raise MomentConvergenceError(order, st)
-        stats.append(st)
+        x_tilde, results = conjugate_gradient_blocks(h, sqrt_deg * b, bounds, cfg)
+        for i, st in enumerate(results):
+            if out[i] is not None:
+                continue
+            if isinstance(st, HitmixError):
+                out[i] = st
+            elif not st.converged:
+                out[i] = MomentConvergenceError(order, st)
+            else:
+                stats[i].append(st)
         return x_tilde / sqrt_deg
 
     et1 = solve(1, np.ones(vertices.size))
+    if all(o is not None for o in out):
+        return out
     # (I - P) E T = 1 turns P E T into E T - 1, so this right-hand side
     # 1 + 2 P E T needs no graph.
-    et2 = solve(2, 1.0 + 2.0 * (et1 - 1.0))
-
-    n_c = seeds.complement.size
-    mean = np.full(n_c, np.nan)
-    variance = np.full(n_c, np.nan)
-    mean[reachable] = et1
+    b2 = 1.0 + 2.0 * (et1 - 1.0)
+    for o, lo, hi in zip(out, bounds, bounds[1:]):
+        if o is not None:
+            b2[lo:hi] = 0.0
+    et2 = solve(2, b2)
     # Tiny negatives from solver tolerance are clamped to zero.
-    variance[reachable] = np.maximum(et2 - et1 ** 2, 0.0)
-    return MomentTable(seeds.complement, mean, variance, reachable, stats)
-
+    var = np.maximum(et2 - et1 ** 2, 0.0)
+    for i, ((_, s), mask, lo, hi) in enumerate(zip(instances, masks, bounds, bounds[1:])):
+        if out[i] is None:
+            mean = np.full(s.complement.size, np.nan)
+            variance = np.full(s.complement.size, np.nan)
+            mean[mask] = et1[lo:hi]
+            variance[mask] = var[lo:hi]
+            out[i] = MomentTable(s.complement, mean, variance, mask, stats[i])
+    return out

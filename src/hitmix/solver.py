@@ -3,7 +3,10 @@
 The matrix is H = I - D^{-1/2} A D^{-1/2} restricted to a vertex subset
 (moments.restricted_laplacian). It is symmetric, and positive definite whenever
 every subset vertex has a path to a vertex outside the subset (for us: to the
-seed set).
+seed set). The H of several graphs joined side by side
+(moments.compute_moments_batch) is block diagonal, one block per graph:
+conjugate_gradient_blocks solves all its blocks at once, each exactly as
+conjugate_gradient solves it alone.
 """
 
 from __future__ import annotations
@@ -56,13 +59,43 @@ def _done(r_norm: float, x_norm: float, b_norm: float, cfg: CgConfig) -> bool:
                 or r_norm <= _BACKWARD_ERROR_FLOOR * (2.0 * x_norm + b_norm))
 
 
+_BREAKDOWN = ("conjugate gradient broke down (non-positive or non-finite curvature); "
+              "the operator is not SPD. Filter unreachable vertices using reachable_from")
+
+
 def conjugate_gradient(h: sp.csr_matrix, b: np.ndarray,
                        cfg: CgConfig | None = None) -> tuple[np.ndarray, CgStats]:
-    """Solve h @ x = b with textbook (Hestenes-Stiefel) conjugate gradients.
+    """Solve h @ x = b with textbook (Hestenes-Stiefel) conjugate gradients: the
+    one-block call of conjugate_gradient_blocks. Raises the NonSpdError that it
+    returns for a breakdown.
 
     Converged means the true residual is within cfg.rel_tol or at the
     double-precision floor; CgStats.final_rel_residual is the true relative
     residual attained.
+    """
+    x, (stats,) = conjugate_gradient_blocks(h, b, (0, h.shape[0]), cfg)
+    if isinstance(stats, NonSpdError):
+        raise stats
+    return x, stats
+
+
+def conjugate_gradient_blocks(h: sp.csr_matrix, b: np.ndarray, bounds,
+                              cfg: CgConfig | None = None
+                              ) -> tuple[np.ndarray, list[CgStats | NonSpdError]]:
+    """conjugate_gradient on each diagonal block of a block-diagonal h at once.
+
+    Block j spans rows and columns bounds[j]:bounds[j + 1], and h has no entry
+    outside the blocks. Returns x over all rows and, per block, its CgStats or
+    the NonSpdError of its breakdown (its rows of x are then 0).
+
+    The blocks run in lockstep: a step is one csr_matvec and one set of x, r and
+    p updates over the rows from the first to the last unfinished block, with
+    each block's alpha and beta spread over its rows. Everything that decides a
+    block's result is its own: alpha, beta, the breakdown and stop tests, its
+    budget of max(1000, 10 n_j) steps and its true residual, all from dot
+    products over its rows. So each block gets, bit for bit, the x and CgStats
+    of its solve alone. A finished block's r and p are zeroed, so between
+    unfinished blocks it rides along unchanged.
     """
     if cfg is None:
         cfg = CgConfig()
@@ -76,59 +109,125 @@ def conjugate_gradient(h: sp.csr_matrix, b: np.ndarray,
         raise ValueError(f"operator shape {h.shape} is not square")
     if not np.all(np.isfinite(b)):
         raise ValueError("rhs contains non-finite entries")
-
-    b_norm = float(np.linalg.norm(b))
-    if b_norm == 0.0:
-        return np.zeros(n), CgStats(0, 0.0, True)
+    bounds = [int(v) for v in bounds]
+    blocks = list(zip(bounds, bounds[1:]))
+    if not blocks or bounds[0] != 0 or bounds[-1] != n or any(lo > hi for lo, hi in blocks):
+        raise ValueError(f"block bounds must rise from 0 to the operator size {n}")
+    n_blocks = len(blocks)
+    indptr, indices, data = h.indptr, h.indices, h.data
+    if n_blocks > 1:
+        for lo, hi in blocks:
+            cols = indices[indptr[lo]:indptr[hi]]
+            if cols.size and (cols.min() < lo or cols.max() >= hi):
+                raise ValueError("operator has entries outside its diagonal blocks")
 
     x = np.zeros(n)
     r = b.copy()
     p = r.copy()
     hp, tmp = np.empty(n), np.empty(n)
-    rr = float(r.dot(r))
-    x_bound = 0.0           # sum |alpha| ||p|| >= ||x||, by the triangle inequality
-    max_iters = max(1000, 10 * n)
+    xs = [x[lo:hi] for lo, hi in blocks]
+    rs = [r[lo:hi] for lo, hi in blocks]
+    ps = [p[lo:hi] for lo, hi in blocks]
+    hps = [hp[lo:hi] for lo, hi in blocks]
+    rr = [float(v.dot(v)) for v in rs]
+    b_norm = [math.sqrt(v) for v in rr]   # np.linalg.norm's bits: sqrt(b @ b)
+    budget = [max(1000, 10 * (hi - lo)) for lo, hi in blocks]
+    x_bound = [0.0] * n_blocks  # sum |alpha| ||p|| >= ||x||, by the triangle inequality
+    alphas, betas = [0.0] * n_blocks, [0.0] * n_blocks
+    out: list = [None] * n_blocks
 
-    for k in range(1, max_iters + 1):
-        # h @ p without scipy's dispatch and fresh zeros: the same kernel call.
-        hp.fill(0.0)
-        csr_matvec(n, n, h.indptr, h.indices, h.data, p, hp)
-        php = float(p.dot(hp))
-        pp = float(p.dot(p))
-        # A vanishing Rayleigh quotient means p sits in a numerical nullspace
-        # (unreachable vertices make the operator singular).
-        if not math.isfinite(php) or php <= 1e-14 * pp:
-            raise NonSpdError(
-                "conjugate gradient broke down (non-positive or non-finite "
-                "curvature); the operator is not SPD. Filter unreachable "
-                "vertices using reachable_from")
-        alpha = rr / php
-        # In place through tmp; each update rounds as x += alpha * p would.
-        np.multiply(p, alpha, tmp)
-        x += tmp
-        np.multiply(hp, alpha, tmp)
-        r -= tmp
-        x_bound += abs(alpha) * math.sqrt(pp)
-        rr_new = float(r.dot(r))
-        if not math.isfinite(rr_new):
-            raise NonSpdError("non-finite residual in conjugate gradient")
-        # The recursive residual drifts from the true one in finite precision,
-        # so it only triggers the check of the true residual. At exactly 0 it
-        # leaves no next direction (p = 0), so CG stops there either way.
-        # _done is monotone in ||x||, so twice the bound (room for rounding)
-        # rules a stop out without the x @ x that the floor test needs.
-        r_norm = math.sqrt(rr_new)
-        if rr_new == 0.0 or _done(r_norm, 2.0 * x_bound, b_norm, cfg):
-            x_norm = math.sqrt(float(x.dot(x)))
-            if _done(r_norm, x_norm, b_norm, cfg) or rr_new == 0.0:
-                true_norm = float(np.linalg.norm(b - h @ x))
-                converged = _done(true_norm, x_norm, b_norm, cfg)
-                if converged or rr_new == 0.0:
-                    return x, CgStats(k, true_norm / b_norm, converged)
-        np.multiply(p, rr_new / rr, p)
-        p += r
-        rr = rr_new
+    def retire(j, result):
+        out[j] = result
+        alphas[j] = betas[j] = 0.0
+        rs[j].fill(0.0)
+        ps[j].fill(0.0)
+        if isinstance(result, NonSpdError):
+            xs[j].fill(0.0)
 
-    true_norm = float(np.linalg.norm(b - h @ x))
-    converged = _done(true_norm, math.sqrt(float(x.dot(x))), b_norm, cfg)
-    return x, CgStats(max_iters, true_norm / b_norm, converged)
+    def true_norm(j):
+        # The block's rows of h @ x, as its solve alone would compute them.
+        lo, hi = blocks[j]
+        hx = np.zeros(hi - lo)
+        csr_matvec(hi - lo, n, indptr[lo:hi + 1], indices, data, x, hx)
+        np.subtract(b[lo:hi], hx, hx)
+        return math.sqrt(float(hx.dot(hx)))
+
+    for j in range(n_blocks):
+        if b_norm[j] == 0.0:
+            retire(j, CgStats(0, 0.0, True))   # its rhs may hold -0.0
+    active = [j for j in range(n_blocks) if out[j] is None]
+    k = 0
+    while active:
+        # The rows of the unfinished blocks, and whether one block alone owns them.
+        first, stop = active[0], active[-1] + 1
+        lo, hi = bounds[first], bounds[stop]
+        single = len(active) == 1
+        x_s, r_s, p_s, hp_s, tmp_s = x[lo:hi], r[lo:hi], p[lo:hi], hp[lo:hi], tmp[lo:hi]
+        indptr_s = indptr[lo:hi + 1]
+        if not single:
+            sizes_s = np.diff(bounds[first:stop + 1])
+        changed = False
+        while not changed:
+            k += 1
+            # h @ p without scipy's dispatch and fresh zeros: the same kernel call.
+            hp_s.fill(0.0)
+            csr_matvec(hi - lo, n, indptr_s, indices, data, p, hp_s)
+            for j in active:
+                p_j = ps[j]
+                php = float(p_j.dot(hps[j]))
+                pp = float(p_j.dot(p_j))
+                # A vanishing Rayleigh quotient means p sits in a numerical nullspace
+                # (unreachable vertices make the operator singular).
+                if not math.isfinite(php) or php <= 1e-14 * pp:
+                    retire(j, NonSpdError(_BREAKDOWN))
+                    alpha, changed = 0.0, True
+                    continue
+                alpha = alphas[j] = rr[j] / php
+                x_bound[j] += abs(alpha) * math.sqrt(pp)
+            # In place through tmp; each update rounds as x += alpha * p would.
+            if not single:
+                alpha = np.repeat(np.array(alphas[first:stop]), sizes_s)
+            np.multiply(p_s, alpha, tmp_s)
+            x_s += tmp_s
+            np.multiply(hp_s, alpha, tmp_s)
+            r_s -= tmp_s
+            beta = 0.0
+            for j in active:
+                if out[j] is not None:
+                    continue
+                r_j, bn = rs[j], b_norm[j]
+                rr_new = float(r_j.dot(r_j))
+                if not math.isfinite(rr_new):
+                    retire(j, NonSpdError("non-finite residual in conjugate gradient"))
+                    changed = True
+                    continue
+                # The recursive residual drifts from the true one in finite
+                # precision, so it only triggers the check of the true residual.
+                # At exactly 0 it leaves no next direction (p = 0), so CG stops
+                # there either way. _done is monotone in ||x||, so twice the bound
+                # (room for rounding) rules a stop out without the x @ x that the
+                # floor test needs.
+                r_norm = math.sqrt(rr_new)
+                if rr_new == 0.0 or _done(r_norm, 2.0 * x_bound[j], bn, cfg):
+                    x_norm = math.sqrt(float(xs[j].dot(xs[j])))
+                    if _done(r_norm, x_norm, bn, cfg) or rr_new == 0.0:
+                        true = true_norm(j)
+                        converged = _done(true, x_norm, bn, cfg)
+                        if converged or rr_new == 0.0:
+                            retire(j, CgStats(k, true / bn, converged))
+                            changed = True
+                            continue
+                if k == budget[j]:
+                    true = true_norm(j)
+                    converged = _done(true, math.sqrt(float(xs[j].dot(xs[j]))), bn, cfg)
+                    retire(j, CgStats(k, true / bn, converged))
+                    changed = True
+                    continue
+                beta = betas[j] = rr_new / rr[j]
+                rr[j] = rr_new
+            if not single:
+                beta = np.repeat(np.array(betas[first:stop]), sizes_s)
+            np.multiply(p_s, beta, p_s)
+            p_s += r_s
+        active = [j for j in active if out[j] is None]
+    return x, out

@@ -166,7 +166,7 @@ def test_criterion_7_mom_round_trip(report):
 
 def test_criterion_8_scalability(report):
     rng = np.random.default_rng(MASTER_SEED)
-    times = []
+    cases = []
     for block in (1000, 2000, 4000):
         # constant expected degree ~20 as the graph doubles
         cfg = SbmConfig(2, block, 15.0 / block, 5.0 / block)
@@ -174,8 +174,11 @@ def test_criterion_8_scalability(report):
         seeds = SeedSet.from_members(
             rng.choice(np.flatnonzero(labels == 0), size=50, replace=False),
             cfg.n_vertices)
-        best = min(_timed_moments(g, seeds) for _ in range(3))
-        times.append(best)
+        cases.append((g, seeds))
+    # Best of 15 per size, the sizes timed in turn: on a shared machine a slow
+    # spell then falls on every size, not on the 4-35 ms calls of one.
+    rounds = [[_timed_moments(g, seeds) for g, seeds in cases] for _ in range(15)]
+    times = [min(column) for column in zip(*rounds)]
     ratios = [times[1] / times[0], times[2] / times[1]]
     ok = max(ratios) <= 2.2
     report(8, ok, f"compute_moments at 2k/4k/8k vertices: "

@@ -396,14 +396,14 @@ def _raise(exc):
     return fail
 
 
-def _unconverged_cg(h, b, cfg=None):
-    return np.zeros(b.size), CgStats(7, 0.5, False)
+def _unconverged_cg(h, b, bounds, cfg=None):
+    return np.zeros(b.size), [CgStats(7, 0.5, False)] * (len(bounds) - 1)
 
 
 @pytest.mark.parametrize("command, target, replacement, message", [
-    ("moments", (hitmix.moments, "conjugate_gradient"),
+    ("moments", (hitmix.moments, "conjugate_gradient_blocks"),
      _raise(NonSpdError("operator is not SPD")), "NonSpdError: operator is not SPD"),
-    ("moments", (hitmix.moments, "conjugate_gradient"), _unconverged_cg,
+    ("moments", (hitmix.moments, "conjugate_gradient_blocks"), _unconverged_cg,
      "MomentConvergenceError: CG failed to converge for moment 1: "
      "rel residual 5.000e-01 after 7 iters"),
     ("expand", (hitmix.mixture, "em_fit"),

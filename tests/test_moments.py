@@ -1,10 +1,15 @@
 import io
+import re
 
 import numpy as np
 import pytest
 
-from hitmix.graph import Graph, SeedSet, load_edge_list
-from hitmix.moments import compute_moments
+import hitmix.moments
+import hitmix.solver
+from hitmix.graph import Graph, SeedSet, load_edge_list, reachable_from
+from hitmix.moments import MomentConvergenceError, compute_moments, compute_moments_batch
+from hitmix.sbm import SbmConfig, sample_hitting_set, sample_sbm
+from hitmix.solver import CgStats
 from oracles import (dense_moments, path3, random_connected,
                      simulate_hitting_times, splu_moments)
 
@@ -120,6 +125,82 @@ class TestBadlyConditioned:
         mean, var = splu_moments(g, seeds)
         assert max_rel_err(t.mean, mean) <= 1e-8
         assert max_rel_err(t.variance, var) <= 1e-8
+
+
+def sbm_instances(seed, p_ins):
+    """One 2 x 40 SBM instance with 4 seeds per p_in, p_out 0.02, then an edgeless
+    graph and a multigraph with self-loops whose seed sits in a small component
+    of its own."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for p_in in p_ins:
+        g, labels = sample_sbm(SbmConfig(2, 40, p_in, 0.02), rng)
+        out.append((g, sample_hitting_set(labels, 4, rng)))
+    u, v = rng.integers(3, 60, 150), rng.integers(3, 60, 150)
+    g = Graph.from_edges(60, np.concatenate([u, u[:20], [0, 1, 1]]),
+                         np.concatenate([v, v[:20], [1, 2, 1]]))
+    out += [(Graph.from_edges(30, [], []), SeedSet.from_members([0, 1], 30)),
+            (g, SeedSet.from_members([0], 60))]
+    return out
+
+
+def assert_tables_equal(got, want):
+    assert got.vertices.tobytes() == want.vertices.tobytes()
+    assert got.mean.tobytes() == want.mean.tobytes()
+    assert got.variance.tobytes() == want.variance.tobytes()
+    assert got.reachable.tolist() == want.reachable.tolist()
+    assert not got.reachable.flags.writeable
+    assert got.cg_stats == want.cg_stats
+
+
+class TestComputeMomentsBatch:
+    """compute_moments_batch solves its instances on their block-diagonal union;
+    each result must be what compute_moments gives the instance alone."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_one_instance_calls(self, seed):
+        # The edgeless instance fails; in the last one most vertices are unreachable.
+        instances = sbm_instances(seed, [0.3, 0.02, 0.1, 0.05, 0.2])
+        got = compute_moments_batch(instances)
+        assert len(got) == len(instances)
+        for (g, seeds), table in zip(instances, got):
+            try:
+                want = compute_moments(g, seeds)
+            except ValueError as exc:
+                assert type(table) is ValueError and str(table) == str(exc)
+                continue
+            assert_tables_equal(table, want)
+        assert str(got[-2]) == "no non-seed vertex can reach the seed set"
+        assert not got[-1].reachable.all()
+
+    def test_instance_failing_moment_1_skips_moment_2(self, monkeypatch):
+        # The stop test never passes on the moment-1 rhs of instance 1, so its
+        # first solve ends unconverged; the second solve gives it a zero rhs.
+        instances = sbm_instances(7, [0.3, 0.25, 0.2])
+        g, seeds = instances[1]
+        vertices = seeds.complement[reachable_from(g, seeds)]
+        target = float(np.linalg.norm(np.sqrt(g.degrees[vertices])))
+        real_done = hitmix.solver._done
+        monkeypatch.setattr(hitmix.solver, "_done",
+                            lambda r, x, b, cfg: b != target and real_done(r, x, b, cfg))
+        calls = []
+        real_blocks = hitmix.moments.conjugate_gradient_blocks
+
+        def spy(h, b, bounds, cfg):
+            x, results = real_blocks(h, b, bounds, cfg)
+            calls.append((b.copy(), list(bounds), results))
+            return x, results
+
+        monkeypatch.setattr(hitmix.moments, "conjugate_gradient_blocks", spy)
+        got = compute_moments_batch(instances)
+        assert type(got[1]) is MomentConvergenceError and got[1].moment_order == 1
+        with pytest.raises(MomentConvergenceError, match=f"^{re.escape(str(got[1]))}$"):
+            compute_moments(g, seeds)
+        rhs, bounds, results = calls[1]
+        assert not rhs[bounds[1]:bounds[2]].any() and results[1] == CgStats(0, 0.0, True)
+        for i in (0, 2, 4):
+            assert_tables_equal(got[i], compute_moments(*instances[i]))
+        assert type(got[3]) is ValueError
 
 
 class TestSimulation:

@@ -160,10 +160,13 @@ class TestRunSimulation:
         assert "Traceback" not in caplog.text
 
     def test_records_and_log_lines_equal_the_one_instance_pipeline(self, caplog):
-        # p_out = 0: at p_in = 0 every vertex is isolated, so each run fails
-        # with no feasible g; at p_in 0.3 and 0.2 block 1 is unreachable.
-        spec = small_spec(values=[0.3, 0.0, 0.2], p_out=0.0,
+        # p_out = 0 and one seed: at p_in = 0 every vertex is isolated, so each
+        # run fails as its seed reaches no vertex; at p_in 0.3 and 0.2 block 1 is
+        # unreachable. At p_in 0.02 one run's seed is isolated, so its moment
+        # group, the whole chunk, mixes a failing run with good ones.
+        spec = small_spec(values=[0.3, 0.0, 0.2, 0.02], p_out=0.0, hitting_set_size=1,
                           hitmix_cfg=HitmixConfig(g_candidates=(2, 3)))
+        assert hitmix.sbm._GROUP_VERTICES // 80 >= spec.mc_samples
         want = [reference_run(spec, ci, ri) for ci in range(len(spec.values))
                 for ri in range(spec.mc_samples)]
         want_log = [(r.levelname, r.getMessage()) for r in caplog.records]
@@ -171,7 +174,10 @@ class TestRunSimulation:
         got = run_simulation(spec).runs
         assert [repr(r) for r in got] == [repr(r) for r in want]
         assert [(r.levelname, r.getMessage()) for r in caplog.records] == want_log
-        assert sum(r.failed for r in got) == spec.mc_samples
+        assert [r.failed for r in got[4:8]] == [True] * 4
+        assert [r.failed for r in got[12:]] == [False, False, False, True]
+        assert sum(r.failed for r in got) == 5
+        assert sum("no non-seed vertex can reach the seed set" in m for _, m in want_log) == 5
         assert any(r.unreachable for r in got if not r.failed)
 
     @pytest.mark.parametrize("chunk_vertices", [1, 200])
@@ -181,6 +187,19 @@ class TestRunSimulation:
         a = run_simulation(small_spec(hitmix_cfg=cfg))
         monkeypatch.setattr(hitmix.sbm, "_CHUNK_VERTICES", chunk_vertices)
         b = run_simulation(small_spec(hitmix_cfg=cfg))
+        assert runs_csv_lines(a) == runs_csv_lines(b)
+        assert summary_csv_lines(a) == summary_csv_lines(b)
+        assert [repr(r) for r in a.runs] == [repr(r) for r in b.runs]
+
+    @pytest.mark.parametrize("group_vertices", [1, 160, 1 << 17])
+    def test_grouping_does_not_change_results(self, monkeypatch, group_vertices):
+        # 80 vertices per instance: moment groups of one run, of two, and the
+        # whole chunk.
+        cfg = HitmixConfig(g_candidates=(2, 3))
+        spec = small_spec(values=[0.3, 0.05, 0.0], mc_samples=5, hitmix_cfg=cfg)
+        a = run_simulation(spec)
+        monkeypatch.setattr(hitmix.sbm, "_GROUP_VERTICES", group_vertices)
+        b = run_simulation(spec)
         assert runs_csv_lines(a) == runs_csv_lines(b)
         assert summary_csv_lines(a) == summary_csv_lines(b)
         assert [repr(r) for r in a.runs] == [repr(r) for r in b.runs]

@@ -9,7 +9,7 @@ import hitmix.solver
 import oracles
 from hitmix.graph import Graph, SeedSet, load_edge_list, reachable_from
 from hitmix.moments import compute_moments, restricted_laplacian
-from hitmix.solver import CgConfig, NonSpdError, conjugate_gradient
+from hitmix.solver import CgConfig, CgStats, NonSpdError, conjugate_gradient, conjugate_gradient_blocks
 from oracles import path3, random_connected, reference_cg
 
 
@@ -271,6 +271,15 @@ def assert_moment_solves_equal_reference(graph, seeds, cfg=None):
     return stats1, stats2
 
 
+def multigraph(rng, n):
+    """A random multigraph on n vertices with repeated pairs and self-loops."""
+    u, v = rng.integers(0, n, 2 * n), rng.integers(0, n, 2 * n)
+    repeat = rng.integers(0, u.size, n // 2)
+    u = np.concatenate([u, u[repeat], np.arange(0, n, 5)])
+    v = np.concatenate([v, v[repeat], np.arange(0, n, 5)])
+    return Graph.from_edges(n, u, v)
+
+
 class TestEqualsReferenceCg:
     """conjugate_gradient tests ||x|| only where a running bound lets the floor
     test pass; every stop, iterate and residual must still be reference_cg's."""
@@ -283,11 +292,7 @@ class TestEqualsReferenceCg:
         # must break down with the same error, or converge in the same way.
         rng = np.random.default_rng(seed)
         n = int(rng.integers(4, 400))
-        u, v = rng.integers(0, n, 2 * n), rng.integers(0, n, 2 * n)
-        repeat = rng.integers(0, u.size, n // 2)
-        u = np.concatenate([u, u[repeat], np.arange(0, n, 5)])
-        v = np.concatenate([v, v[repeat], np.arange(0, n, 5)])
-        g = Graph.from_edges(n, u, v)
+        g = multigraph(rng, n)
         seeds = SeedSet.from_members(rng.choice(n, int(rng.integers(1, 4)), replace=False), n)
         cfg = CgConfig(rel_tol)
         stats = assert_moment_solves_equal_reference(g, seeds, cfg)
@@ -332,6 +337,117 @@ class TestEqualsReferenceCg:
         h = restricted_laplacian(g, np.arange(1, 100))
         _, stats = assert_equals_reference(h, np.sqrt(g.degrees[1:]))
         assert stats.iterations == 1000 and not stats.converged
+
+
+def join_blocks(blocks, index_dtype=np.int32):
+    """The block-diagonal CSR matrix of the blocks: their CSR arrays joined, with
+    the entries of each row in the block's order, and where each block starts."""
+    starts = np.cumsum([0] + [blk.shape[0] for blk in blocks])
+    nnz = np.cumsum([0] + [blk.nnz for blk in blocks])
+    indptr = np.concatenate([blk.indptr[:-1] + z for blk, z in zip(blocks, nnz)] + [nnz[-1:]])
+    indices = np.concatenate([blk.indices + s for blk, s in zip(blocks, starts)])
+    h = sp.csr_matrix((np.concatenate([blk.data for blk in blocks]), indices, indptr),
+                      shape=(starts[-1], starts[-1]))
+    h.indices, h.indptr = h.indices.astype(index_dtype), h.indptr.astype(index_dtype)
+    return h, starts
+
+
+def assert_blocks_equal_reference(blocks, rhs, cfg=None, index_dtype=np.int32):
+    """One conjugate_gradient_blocks solve over the joined blocks gives each
+    block reference_cg's x bytes and stats, or its NonSpdError message."""
+    h, starts = join_blocks(blocks, index_dtype)
+    assert h.indices.dtype == index_dtype
+    x, results = conjugate_gradient_blocks(h, np.concatenate(rhs), starts, cfg)
+    assert len(results) == len(blocks)
+    for blk, b, got, lo, hi in zip(blocks, rhs, results, starts, starts[1:]):
+        try:
+            want_x, want = reference_cg(blk, b, cfg)
+        except NonSpdError as exc:
+            assert isinstance(got, NonSpdError) and str(got) == str(exc)
+            continue
+        assert x[lo:hi].tobytes() == want_x.tobytes()
+        assert got.iterations == want.iterations
+        assert np.float64(got.final_rel_residual).tobytes() == \
+            np.float64(want.final_rel_residual).tobytes()
+        assert got.converged is want.converged
+    return results
+
+
+class TestBlocksEqualReferenceCg:
+    """Every block of a lockstep solve is held to reference_cg bit for bit, however
+    the blocks around it converge."""
+
+    @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("rel_tol", [1e-6, 1e-10, 1e-15])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_multigraph_blocks(self, seed, rel_tol, index_dtype):
+        # Reachable H of random multigraphs, with moment-1 and random rhs, beside
+        # a 1-vertex block and a zero rhs; the blocks stop at different steps.
+        rng = np.random.default_rng(seed)
+        blocks, rhs = [], []
+        for _ in range(int(rng.integers(2, 6))):
+            n = int(rng.integers(4, 300))
+            g = multigraph(rng, n)
+            seeds = SeedSet.from_members(rng.choice(n, int(rng.integers(1, 4)), replace=False), n)
+            vertices = seeds.complement[reachable_from(g, seeds)]
+            blocks.append(restricted_laplacian(g, vertices))
+            rhs.append(np.sqrt(g.degrees[vertices]) if rng.random() < 0.5
+                       else rng.standard_normal(vertices.size))
+        one = restricted_laplacian(path(2), np.array([1]))
+        at = int(rng.integers(0, len(blocks) + 1))
+        first = blocks[0]
+        blocks[at:at] = [one, first]
+        rhs[at:at] = [np.ones(1), np.zeros(first.shape[0])]
+        results = assert_blocks_equal_reference(blocks, rhs, CgConfig(rel_tol), index_dtype)
+        assert all(st.converged for st in results)
+        assert results[at + 1] == CgStats(0, 0.0, True)
+        assert len({st.iterations for st in results}) > 2
+
+    def test_singular_block_fails_alone(self):
+        # Every other block also holds a triangle that cannot reach the seed: it
+        # breaks down with reference_cg's message, and the healthy blocks around
+        # it keep their bits.
+        rng = np.random.default_rng(5)
+        blocks = []
+        for i in range(6):
+            n = int(rng.integers(20, 200))
+            g = multigraph(rng, n)
+            a = g.adjacency.tocoo()
+            u, v = a.row[a.row <= a.col], a.col[a.row <= a.col]
+            if i % 2 == 0:
+                g = Graph.from_edges(n + 3, np.append(u, [n, n + 1, n]), np.append(v, [n + 1, n + 2, n + 2]))
+            seeds = SeedSet.from_members([0], g.n_vertices)
+            vertices = seeds.complement[g.degrees[seeds.complement] > 0]
+            blocks.append(restricted_laplacian(g, vertices))
+        results = assert_blocks_equal_reference(blocks, [np.ones(blk.shape[0]) for blk in blocks])
+        for i, st in enumerate(results):
+            assert isinstance(st, NonSpdError) if i % 2 == 0 else st.converged
+
+    def test_iteration_budget_per_block(self, monkeypatch):
+        # With no stop test met, each block runs its own max(1000, 10 n_j).
+        monkeypatch.setattr(hitmix.solver, "_done", lambda *args: False)
+        monkeypatch.setattr(oracles, "reference_done", lambda *args: False)
+        blocks, rhs = [], []
+        for n in (100, 200, 150):
+            g = path(n)
+            blocks.append(restricted_laplacian(g, np.arange(1, n)))
+            rhs.append(np.sqrt(g.degrees[1:]))
+        results = assert_blocks_equal_reference(blocks, rhs)
+        assert [st.iterations for st in results] == [1000, 1990, 1490]
+        assert not any(st.converged for st in results)
+
+    def test_bounds_checked(self):
+        h, starts = join_blocks([laplacian(*path3()), laplacian(*path3())])
+        b = np.ones(4)
+        for bounds in ([0, 2], [0, 3, 2, 4], [1, 4], [4]):
+            with pytest.raises(ValueError, match="block bounds must rise from 0"):
+                conjugate_gradient_blocks(h, b, bounds)
+        with pytest.raises(ValueError, match="entries outside its diagonal blocks"):
+            conjugate_gradient_blocks(h, b, [0, 1, 4])
+        x, results = conjugate_gradient_blocks(h, b, [0, 2, 2, 4])
+        assert results[1] == CgStats(0, 0.0, True)
+        assert x.tobytes() == np.concatenate([conjugate_gradient(laplacian(*path3()),
+                                                                 np.ones(2))[0]] * 2).tobytes()
 
 
 class TestCgConfig:

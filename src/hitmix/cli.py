@@ -57,13 +57,18 @@ def _tsv(header: str, *columns) -> str:
     return "\n".join([header, *(row % r for r in zip(*(c.tolist() for c in columns)))]) + "\n"
 
 
+def _named(source: str, parse, *args):
+    """parse(*args); a ValueError it raises names its source."""
+    try:
+        return parse(*args)
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
+
+
 def _load(path: str, load, *args):
     """load(f, *args) on the file at path; a ValueError it raises names the path."""
     with open(path) as f:
-        try:
-            return load(f, *args)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+        return _named(path, load, f, *args)
 
 
 def _load_graph_and_seeds(args):
@@ -93,7 +98,7 @@ def _cmd_expand(args) -> int:
     graph, seeds = _load_graph_and_seeds(args)
     seed = _resolve_seed(args.seed)
     cfg = HitmixConfig(m=args.samples_per_vertex,
-                       g_candidates=_parse_clusters(args.clusters),
+                       g_candidates=_named("--clusters", _parse_clusters, args.clusters),
                        tau=args.tau,
                        em_max_iters=args.em_max_iters,
                        em_rel_tol=args.em_tol,
@@ -142,9 +147,8 @@ _HITMIX_KEYS = {"samples_per_vertex": ("m", int), "tau": ("tau", float),
                 "clusters": ("g_candidates", _parse_clusters)}
 
 
-def _parse_kv_config(path: str, required: tuple[str, ...],
-                     known: set[str]) -> dict[str, str]:
-    """'key = value' lines; unknown or missing keys are errors."""
+def _parse_kv_config(path: str, required: tuple[str, ...], parsers: dict) -> dict:
+    """'key = value' lines, values read by parsers[key]; unknown or missing keys are errors."""
     out = {}
     with open(path) as f:
         for line_no, line in data_lines(f):
@@ -152,9 +156,9 @@ def _parse_kv_config(path: str, required: tuple[str, ...],
                 raise ValueError(f"{path}:{line_no}: expected 'key = value'")
             key, _, value = line.partition("=")
             key = key.strip()
-            if key not in known:
+            if key not in parsers:
                 raise ValueError(f"{path}: unknown key {key!r}")
-            out[key] = value.strip()
+            out[key] = _named(f"{path}: {key}", parsers[key], value.strip())
     for key in required:
         if key not in out:
             raise ValueError(f"{path}: missing key {key!r}")
@@ -163,14 +167,14 @@ def _parse_kv_config(path: str, required: tuple[str, ...],
 
 def _cmd_sbm_sim(args) -> int:
     kv = _parse_kv_config(args.config, ("sweep", "values"),
-                          _SPEC_KEYS.keys() | _HITMIX_KEYS.keys())
-    fields = {k: parse(kv[k]) for k, parse in _SPEC_KEYS.items() if k in kv}
+                          {**_SPEC_KEYS, **{k: p for k, (_, p) in _HITMIX_KEYS.items()}})
+    fields = {k: v for k, v in kv.items() if k in _SPEC_KEYS}
     for flag in ("seed", "workers"):        # the flags take priority over the file
         if getattr(args, flag) is not None:
             fields[flag] = getattr(args, flag)
     fields["seed"] = _resolve_seed(fields.get("seed"))
     spec = SimulationSpec(**fields)
-    hm_fields = {f: parse(kv[k]) for k, (f, parse) in _HITMIX_KEYS.items() if k in kv}
+    hm_fields = {_HITMIX_KEYS[k][0]: v for k, v in kv.items() if k in _HITMIX_KEYS}
     spec = replace(spec, hitmix_cfg=replace(spec.hitmix_cfg, **hm_fields))
     t0 = time.perf_counter()
     summary = run_simulation(spec)

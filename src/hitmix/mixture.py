@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 import os
+from collections.abc import Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -17,8 +18,8 @@ from functools import cached_property, partial
 import numpy as np
 
 from .graph import Graph, SeedSet
-from .moments import MomentTable, compute_moments
-from .solver import CgConfig, HitmixError
+from .moments import MomentTable, compute_moments_batch
+from .solver import CgConfig, HitmixError, one_or_raise
 
 log = logging.getLogger(__name__)
 
@@ -159,28 +160,11 @@ def _log_normal_mle(count, sum1, sum2, m: int) -> tuple[np.ndarray, np.ndarray]:
     return mu, np.maximum(sum2 / n_obs - mu * mu, _SIGMA2_FLOOR)
 
 
-def _check_work(work: np.ndarray, shape: tuple[int, ...]) -> None:
-    if work.shape != shape or work.dtype != np.float64 or not work.flags.c_contiguous:
-        raise ValueError(f"work must be a C-contiguous float64 array of shape {shape}")
-
-
-def em_fit(samples: VertexSamples, g: int, cfg: HitmixConfig | None = None, *,
-           work: np.ndarray | None = None) -> MixtureFit:
+def em_fit(samples: VertexSamples, g: int, cfg: HitmixConfig | None = None) -> MixtureFit:
     """EM for a g-component lognormal mixture over grouped vertex samples: the
     one-run call of em_fit_batch. Raises the EmCollapseError that em_fit_batch
-    returns for a collapse.
-
-    work is a C-contiguous float64 (g + 2, n) array, made here if None: rows
-    [:g] hold the E-step and then the responsibilities, returned as the view
-    work[:g].T; row g holds the per-vertex max and row g + 1 the total.
-    """
-    n = samples.s1.size
-    work = np.empty((g + 2, n)) if work is None else work
-    _check_work(work, (g + 2, n))
-    fit, = em_fit_batch([samples], g, cfg, work=work[None])
-    if isinstance(fit, EmCollapseError):
-        raise fit
-    return fit
+    returns for a collapse."""
+    return one_or_raise(em_fit_batch([samples], g, cfg))
 
 
 def em_fit_batch(samples: list[VertexSamples], g: int, cfg: HitmixConfig | None = None, *,
@@ -192,13 +176,14 @@ def em_fit_batch(samples: list[VertexSamples], g: int, cfg: HitmixConfig | None 
     is one stacked (g x 3) @ (3 x n) product, reduced over the g rows into
     responsibilities, and the M-step reads resp @ [1, s1, s2]. The runs are
     zero-padded to the longest, n_max, and work is a C-contiguous float64
-    (R, g + 2, n_max) array laid out per run as em_fit's. The parameter step
-    runs on (R, g) arrays. A run leaves the batch when it converges, collapses
-    or reaches em_max_iters, and the rest are compacted. Each fit is bit for
-    bit what it is alone: padded vertices add exact zeros to the M-step, and
-    each run's log-likelihood is summed over exactly its own n entries. The
-    responsibilities of the runs that leave last are views of work; the others
-    are copied out.
+    (R, g + 2, n_max) array, made here if None: per run, rows [:g] hold the
+    E-step and then the responsibilities, row g the per-vertex max and row
+    g + 1 the total. The parameter step runs on (R, g) arrays. A run leaves
+    the batch when it converges, collapses or reaches em_max_iters, and the
+    rest are compacted. Each fit is bit for bit what it is alone: padded
+    vertices add exact zeros to the M-step, and each run's log-likelihood is
+    summed over exactly its own n entries. The responsibilities of the runs
+    that leave last are views of work; the others are copied out.
     """
     if cfg is None:
         cfg = HitmixConfig()
@@ -213,8 +198,10 @@ def em_fit_batch(samples: list[VertexSamples], g: int, cfg: HitmixConfig | None 
     if g > ns.min():
         raise ValueError(f"g = {g} exceeds number of vertices ({ns.min()})")
     n_runs, n_max = ns.size, int(ns.max())
-    work = np.empty((n_runs, g + 2, n_max)) if work is None else work
-    _check_work(work, (n_runs, g + 2, n_max))
+    shape = (n_runs, g + 2, n_max)
+    work = np.empty(shape) if work is None else work
+    if work.shape != shape or work.dtype != np.float64 or not work.flags.c_contiguous:
+        raise ValueError(f"work must be a C-contiguous float64 array of shape {shape}")
 
     # Rows in falling n, so that runs of equal n are contiguous: each group's
     # log-likelihoods are one pairwise sum per row over exactly its n entries.
@@ -323,43 +310,29 @@ def component_means(fit: MixtureFit) -> np.ndarray:
     return np.array([np.exp(c.mu + c.sigma2 / 2.0) for c in fit.components])
 
 
-def _fits_by_g(calls: dict) -> dict:
-    """calls[g]() for each g: its result, or the EmCollapseError it raised.
-
-    The fits are independent; NumPy and OpenBLAS release the GIL, so with more
-    than one g they run on threads, largest g first. The callers make each
-    fit's work array first: arrays freed in a worker thread stay in its malloc
-    arena and raise the peak RSS. os.cpu_count() reads sysfs on every call, so
-    one g skips it.
-    """
-    workers = min(len(calls), os.cpu_count() or 1) if len(calls) > 1 else 1
-    if workers > 1:
-        with ThreadPoolExecutor(workers) as pool:
-            calls = {g: pool.submit(calls[g]).result for g in sorted(calls, reverse=True)}
-    fits = {}
-    for g, call in calls.items():
-        try:
-            fits[g] = call()
-        except EmCollapseError as exc:
-            fits[g] = exc
-    return fits
-
-
 def fit_candidates(samples: list[VertexSamples], cfg: HitmixConfig
                    ) -> list[dict[int, MixtureFit | EmCollapseError]]:
     """One em_fit_batch per g of cfg.g_candidates over the runs with at least g
     vertices. Per run, in input order: g -> its fit or its collapse, for each
-    feasible g."""
+    feasible g. With more than one g the batches run on threads (NumPy and
+    OpenBLAS release the GIL), largest g first, in work arrays made before the
+    threads start: memory freed in a worker thread stays in its malloc arena
+    and raises the peak RSS. os.cpu_count() reads sysfs, so one g skips it."""
     sizes = [s.s1.size for s in samples]
     for s in samples:
         s.em_stats  # computed once, before the threads share it
-    rows = {g: [i for i, n in enumerate(sizes) if g <= n] for g in cfg.g_candidates}
+    rows = {g: [i for i, n in enumerate(sizes) if g <= n]
+            for g in sorted(cfg.g_candidates, reverse=True)}
     calls = {g: partial(em_fit_batch, [samples[i] for i in idx], g, cfg,
                         work=np.empty((len(idx), g + 2, max(sizes[i] for i in idx))))
              for g, idx in rows.items() if idx}
+    workers = min(len(calls), os.cpu_count() or 1) if len(calls) > 1 else 1
+    if workers > 1:
+        with ThreadPoolExecutor(workers) as pool:
+            calls = {g: pool.submit(call).result for g, call in calls.items()}
     out: list[dict] = [{} for _ in samples]
-    for g, fits in _fits_by_g(calls).items():
-        for i, fit in zip(rows[g], fits):
+    for g, call in calls.items():
+        for i, fit in zip(rows[g], call()):
             out[i][g] = fit
     return out
 
@@ -395,16 +368,41 @@ def select_membership(moments: MomentTable, fits: dict[int, MixtureFit | EmColla
     return MembershipResult(posterior, labels, selected_g, goal, bic_by_g, fitted, moments)
 
 
-def hitmix(graph: Graph, seeds: SeedSet,
-           cfg: HitmixConfig | None = None) -> MembershipResult:
-    """Full pipeline for one instance: moments -> pseudo-samples -> em_fit over
-    the g candidates -> select_membership."""
+def hitmix_batch(instances: Iterable[tuple[Graph, SeedSet, int]], cfg: HitmixConfig
+                 ) -> Iterator[MembershipResult | HitmixError | ValueError]:
+    """hitmix over (graph, seeds, rng_seed) instances, each with its rng_seed in
+    place of cfg.rng_seed: compute_moments_batch -> draw_pseudo_samples ->
+    fit_candidates over all instances. Yields, per instance in input order, its
+    MembershipResult or the error hitmix raises for it; its select_membership,
+    and so its warnings, come when it is yielded."""
+    rng_seeds = []
+
+    def pairs():
+        for graph, seeds, rng_seed in instances:
+            rng_seeds.append(rng_seed)
+            yield graph, seeds
+
+    tables = compute_moments_batch(pairs(), cfg.cg)
+    samples = []
+    for table, rng_seed in zip(tables, rng_seeds):
+        try:
+            samples.append(table if isinstance(table, Exception)
+                           else draw_pseudo_samples(table, cfg.m, rng_seed))
+        except (HitmixError, ValueError) as exc:
+            samples.append(exc)
+    fits = iter(fit_candidates([s for s in samples if isinstance(s, VertexSamples)], cfg))
+    for table, result in zip(tables, samples):
+        if isinstance(result, VertexSamples):
+            try:
+                result = select_membership(table, next(fits), cfg)
+            except (HitmixError, ValueError) as exc:
+                result = exc
+        yield result
+
+
+def hitmix(graph: Graph, seeds: SeedSet, cfg: HitmixConfig | None = None) -> MembershipResult:
+    """Full pipeline for one instance: the one-instance call of hitmix_batch,
+    with cfg.rng_seed. Raises the error it yields."""
     if cfg is None:
         cfg = HitmixConfig()
-    moments = compute_moments(graph, seeds, cfg.cg)
-    samples = draw_pseudo_samples(moments, cfg.m, cfg.rng_seed)
-    n = samples.s1.size
-    samples.em_stats  # computed once, before the threads share it
-    calls = {g: partial(em_fit, samples, g, cfg, work=np.empty((g + 2, n)))
-             for g in cfg.g_candidates if g <= n}
-    return select_membership(moments, _fits_by_g(calls), cfg)
+    return one_or_raise(hitmix_batch([(graph, seeds, cfg.rng_seed)], cfg))

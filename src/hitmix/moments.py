@@ -8,6 +8,7 @@ coefficient matrix H = I - D^{-1/2} A D^{-1/2} is SPD, then mapped back.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -15,7 +16,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from .graph import Graph, SeedSet, reachable_from
-from .solver import CgConfig, CgStats, HitmixError, conjugate_gradient_blocks
+from .solver import CgConfig, CgStats, HitmixError, conjugate_gradient_blocks, one_or_raise
+
+# compute_moments_batch solves groups of about this many vertices on one union:
+# that saves scipy and CG per-call costs on small instances, but from 800
+# vertices per instance the union measured slower than solving each alone.
+_GROUP_VERTICES = 1500
 
 
 class MomentConvergenceError(HitmixError):
@@ -56,10 +62,7 @@ def compute_moments(graph: Graph, seeds: SeedSet,
                     cfg: CgConfig | None = None) -> MomentTable:
     """Solve the E T and E T^2 systems and assemble mean/variance: the
     one-instance call of compute_moments_batch. Raises the error it returns."""
-    table, = compute_moments_batch([(graph, seeds)], cfg)
-    if isinstance(table, Exception):
-        raise table
-    return table
+    return one_or_raise(compute_moments_batch([(graph, seeds)], cfg))
 
 
 def _join(instances: list[tuple[Graph, SeedSet]]) -> tuple[Graph, SeedSet, list[int]]:
@@ -88,20 +91,35 @@ def _join(instances: list[tuple[Graph, SeedSet]]) -> tuple[Graph, SeedSet, list[
             offsets)
 
 
-def compute_moments_batch(instances: list[tuple[Graph, SeedSet]], cfg: CgConfig | None = None
+def compute_moments_batch(instances: Iterable[tuple[Graph, SeedSet]], cfg: CgConfig | None = None
                           ) -> list[MomentTable | HitmixError | ValueError]:
-    """compute_moments over R (graph, seeds) instances at once: per instance, in
-    input order, its MomentTable or the error compute_moments raises for it.
+    """compute_moments over (graph, seeds) instances: per instance, in input
+    order, its MomentTable or the error compute_moments raises for it.
 
-    The instances are joined into one block-diagonal graph, so one
-    reachable_from, one restricted_laplacian and, per moment, one
-    conjugate_gradient_blocks serve them all. Each instance's H is a diagonal
-    block of the joined one, entry for entry, and its solves are bit for bit
-    those of its own, so each table is what compute_moments gives alone. An
+    Consecutive instances are read and solved a group at a time: a group is
+    solved, and its graphs let go, once one more instance as large as its last
+    would take it past _GROUP_VERTICES vertices, so equal instances of n
+    vertices go max(1, _GROUP_VERTICES // n) to a group. A group is joined into
+    one block-diagonal graph: one reachable_from, one restricted_laplacian and,
+    per moment, one conjugate_gradient_blocks serve it. Each instance's H is a
+    diagonal block of the joined one, entry for entry, and its solves are bit
+    for bit its own, so each table is what compute_moments gives alone. An
     instance whose first solve fails has a zero rhs in the second.
     """
     if cfg is None:
         cfg = CgConfig()
+    out, group, n = [], [], 0
+    for graph, seeds in instances:
+        group.append((graph, seeds))
+        n += graph.n_vertices
+        if n + graph.n_vertices > _GROUP_VERTICES:
+            out += _solve_group(group, cfg)
+            group, n = [], 0
+    return out + _solve_group(group, cfg) if group else out
+
+
+def _solve_group(instances: list[tuple[Graph, SeedSet]], cfg: CgConfig) -> list:
+    """compute_moments_batch over one group, on its block-diagonal union."""
     graph, seeds, starts = _join(instances)
     reachable = reachable_from(graph, seeds)
     masks = [reachable[lo:hi] for lo, hi in zip(starts, starts[1:])]

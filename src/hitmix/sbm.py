@@ -11,9 +11,7 @@ import numpy as np
 
 from .graph import Graph, SeedSet
 from .metrics import adjusted_rand_index, precision_recall_f1
-from .mixture import (HitmixConfig, MembershipResult, draw_pseudo_samples, fit_candidates,
-                      select_membership)
-from .moments import compute_moments_batch
+from .mixture import HitmixConfig, MembershipResult, hitmix_batch
 from .solver import HitmixError
 
 log = logging.getLogger(__name__)
@@ -185,14 +183,15 @@ class McSummary:
 # A chunk of runs is fitted as one batch; its runs hold at most this many
 # vertices in all, which bounds the memory of its padded EM arrays.
 _CHUNK_VERTICES = 1 << 17
-# The moments of a group of consecutive runs of a chunk, at most this many
-# vertices in all (or one run), are solved on their block-diagonal union. That
-# saves scipy and CG per-call costs on small instances; from 800 vertices per
-# instance the union measured slower than solving each run alone.
-_GROUP_VERTICES = 1500
 
 
-def _score(value, run_idx: int, block_labels: np.ndarray, result: MembershipResult) -> RunRecord:
+def _score(value, run_idx: int, block_labels: np.ndarray,
+           result: MembershipResult | HitmixError | ValueError) -> RunRecord:
+    """The record of one run; an error is logged and makes a failed record."""
+    if isinstance(result, Exception):
+        log.error("hitmix failed (condition=%s run=%d): %s: %s",
+                  value, run_idx, type(result).__name__, result)
+        return RunRecord(value, run_idx, np.nan, np.nan, True, 0, np.nan, np.nan)
     non_seed = result.moments.vertices
     truth_labels = (block_labels[non_seed] == 0).astype(np.int64)
     pred_labels = result.labels.astype(np.int64)
@@ -209,49 +208,23 @@ def _score(value, run_idx: int, block_labels: np.ndarray, result: MembershipResu
 
 
 def _run_chunk(job: tuple[SimulationSpec, int, range]) -> list[RunRecord]:
-    """The runs of one condition, in three phases: sample the instances, solve
-    the moments of each group of _GROUP_VERTICES in one compute_moments_batch
-    and draw each run's pseudo-samples; fit every feasible g over all of them in
-    one batch; select, score and log each run in run order."""
+    """The records of one condition's runs, in run order. hitmix_batch samples
+    every instance, through instances(), before it yields a result."""
     spec, cond_idx, runs = job
     value = spec.values[cond_idx]
     sbm_cfg, hs_size = spec.condition(value)
-    cfg = spec.hitmix_cfg
-    group = max(1, _GROUP_VERTICES // sbm_cfg.n_vertices)
-    prepared = []
-    for lo in range(0, len(runs), group):
-        instances, labels, rng_seeds = [], [], []
-        for run_idx in runs[lo:lo + group]:
+    labels = []
+
+    def instances():
+        for run_idx in runs:
             rng = np.random.default_rng([spec.seed, cond_idx, run_idx])
             graph, block_labels = sample_sbm(sbm_cfg, rng)
-            instances.append((graph, sample_hitting_set(block_labels, hs_size, rng)))
             labels.append(block_labels)
-            rng_seeds.append(int(rng.integers(0, 2 ** 31 - 1)))
-        for block_labels, moments, rng_seed in zip(
-                labels, compute_moments_batch(instances, cfg.cg), rng_seeds):
-            if not isinstance(moments, Exception):
-                try:
-                    moments = (block_labels, moments,
-                               draw_pseudo_samples(moments, cfg.m, rng_seed))
-                except (HitmixError, ValueError) as exc:
-                    moments = exc
-            prepared.append(moments)
-    fits = iter(fit_candidates([p[2] for p in prepared if isinstance(p, tuple)], cfg))
+            seeds = sample_hitting_set(block_labels, hs_size, rng)
+            yield graph, seeds, int(rng.integers(0, 2 ** 31 - 1))
 
-    records = []
-    for run_idx, p in zip(runs, prepared):
-        try:
-            if isinstance(p, Exception):
-                raise p
-            labels, moments, _ = p
-            result = select_membership(moments, next(fits), cfg)
-        except (HitmixError, ValueError) as exc:
-            log.error("hitmix failed (condition=%s run=%d): %s: %s",
-                      value, run_idx, type(exc).__name__, exc)
-            records.append(RunRecord(value, run_idx, np.nan, np.nan, True, 0, np.nan, np.nan))
-            continue
-        records.append(_score(value, run_idx, labels, result))
-    return records
+    return [_score(value, runs[i], labels[i], result)
+            for i, result in enumerate(hitmix_batch(instances(), spec.hitmix_cfg))]
 
 
 def run_simulation(spec: SimulationSpec) -> McSummary:

@@ -47,6 +47,14 @@ class NonSpdError(HitmixError):
     """
 
 
+def one_or_raise(results):
+    """The one result of a batch call on one item; raised if it is an error."""
+    result, = results
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
 # A normwise backward error ||b - Hx|| / (||H|| ||x|| + ||b||) of 16 eps is the
 # double-precision floor of CG (Meurant & Strakos 2006): the true residual of a
 # 2000-vertex path stalls near 6 eps. ||H|| <= 2, as A_hat has spectrum in [-1, 1].
@@ -73,10 +81,8 @@ def conjugate_gradient(h: sp.csr_matrix, b: np.ndarray,
     double-precision floor; CgStats.final_rel_residual is the true relative
     residual attained.
     """
-    x, (stats,) = conjugate_gradient_blocks(h, b, (0, h.shape[0]), cfg)
-    if isinstance(stats, NonSpdError):
-        raise stats
-    return x, stats
+    x, stats = conjugate_gradient_blocks(h, b, (0, h.shape[0]), cfg)
+    return x, one_or_raise(stats)
 
 
 def conjugate_gradient_blocks(h: sp.csr_matrix, b: np.ndarray, bounds,

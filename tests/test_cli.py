@@ -149,7 +149,11 @@ def test_sbm_sim_smoke(tmp_path):
 @pytest.mark.parametrize("text, message", [
     ("sweep = p_in\nvalues = 0.3\nblock_sise = 30\n", "unknown key 'block_sise'"),
     ("values = 0.3\n", "missing key 'sweep'"),
-], ids=["unknown", "missing"])
+    ("sweep = p_in\nvalues = 0.3\nmc_samples = x\n",
+     "mc_samples: invalid literal for int() with base 10: 'x'"),
+    ("sweep = p_in\nvalues = 0.3\nclusters = 2,x\n",
+     "clusters: invalid literal for int() with base 10: 'x'"),
+], ids=["unknown", "missing", "mc_samples", "clusters"])
 def test_sbm_sim_config_keys_checked(tmp_path, caplog, text, message):
     cfg = tmp_path / "sim.cfg"
     cfg.write_text(text)
@@ -269,7 +273,7 @@ def test_sbm_sim_hitting_set_larger_than_block_fails_before_any_run(tmp_path, ca
 @pytest.mark.parametrize("command", ["expand", "sbm-sim"])
 def test_repeated_clusters_fail_before_any_solve(workdir, caplog, monkeypatch, command):
     calls = []
-    monkeypatch.setattr(hitmix.mixture, "compute_moments", lambda *a: calls.append(a))
+    monkeypatch.setattr(hitmix.mixture, "compute_moments_batch", lambda *a: calls.append(a))
     monkeypatch.setattr(hitmix.sbm, "sample_sbm", lambda *a: calls.append(a))
     (workdir / "sim.cfg").write_text("sweep = p_in\nvalues = 0.3\nclusters = 2,2\nseed = 1\n")
     args = {"expand": ["--graph", str(workdir / "g.txt"), "--seeds", str(workdir / "s.txt"),
@@ -283,10 +287,22 @@ def test_repeated_clusters_fail_before_any_solve(workdir, caplog, monkeypatch, c
     assert not out.exists()
 
 
+def test_expand_unparsable_clusters_named_before_any_solve(workdir, caplog, monkeypatch):
+    calls = []
+    monkeypatch.setattr(hitmix.mixture, "compute_moments_batch", lambda *a: calls.append(a))
+    out = workdir / "o.tsv"
+    assert run(["expand", "--graph", str(workdir / "g.txt"), "--seeds", str(workdir / "s.txt"),
+                "--clusters", "2,x", "--seed", "1", "--out", str(out)]) == 2
+    assert [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR] \
+        == ["--clusters: invalid literal for int() with base 10: 'x'"]
+    assert calls == []
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("em_tol", ["-1", "nan"])
 def test_bad_em_tol_fails_before_any_solve(workdir, caplog, monkeypatch, em_tol):
     calls = []
-    monkeypatch.setattr(hitmix.mixture, "compute_moments", lambda *a: calls.append(a))
+    monkeypatch.setattr(hitmix.mixture, "compute_moments_batch", lambda *a: calls.append(a))
     out = workdir / "o.tsv"
     assert run(["expand", "--graph", str(workdir / "g.txt"), "--seeds", str(workdir / "s.txt"),
                 "--clusters", "2", "--seed", "1", "--em-tol", em_tol, "--out", str(out)]) == 2
@@ -400,14 +416,17 @@ def _unconverged_cg(h, b, bounds, cfg=None):
     return np.zeros(b.size), [CgStats(7, 0.5, False)] * (len(bounds) - 1)
 
 
+def _collapsed_fits(samples, g, cfg=None, work=None):
+    return [EmCollapseError(f"EM component collapsed (g={g}, iter=1)")] * len(samples)
+
+
 @pytest.mark.parametrize("command, target, replacement, message", [
     ("moments", (hitmix.moments, "conjugate_gradient_blocks"),
      _raise(NonSpdError("operator is not SPD")), "NonSpdError: operator is not SPD"),
     ("moments", (hitmix.moments, "conjugate_gradient_blocks"), _unconverged_cg,
      "MomentConvergenceError: CG failed to converge for moment 1: "
      "rel residual 5.000e-01 after 7 iters"),
-    ("expand", (hitmix.mixture, "em_fit"),
-     _raise(EmCollapseError("EM component collapsed (g=2, iter=1)")),
+    ("expand", (hitmix.mixture, "em_fit_batch"), _collapsed_fits,
      "EmCollapseError: EM component collapsed (g=2, iter=1)"),
 ], ids=["NonSpdError", "MomentConvergenceError", "EmCollapseError"])
 def test_numerical_failure_exit_code(workdir, caplog, capsys, command, target,

@@ -3,6 +3,7 @@ import os
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,12 +11,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import lognorm
 
-from hitmix.graph import Graph, SeedSet, load_edge_list
+from hitmix.graph import Graph, SeedSet, load_edge_list, reachable_from
 from hitmix.mixture import (EmCollapseError, HitmixConfig, MomentTable,
                             VertexSamples, bic, component_means,
                             draw_pseudo_samples, em_fit, em_fit_batch, hitmix,
-                            lognormal_mom)
+                            hitmix_batch, lognormal_mom)
 from hitmix.moments import compute_moments
+from hitmix.solver import HitmixError
 from oracles import reference_em_fit
 
 
@@ -26,6 +28,18 @@ def bits(fit):
         return str(fit)
     return (fit.responsibilities.tobytes(), np.array(fit.ll_history).tobytes(),
             fit.iterations, fit.converged, fit.weights.tobytes(), fit.components)
+
+
+def result_bits(result):
+    """Everything a MembershipResult holds, as bytes where it is an array, or
+    the class and message of an error in its place."""
+    if isinstance(result, Exception):
+        return type(result), str(result)
+    t = result.moments
+    return (result.posterior.tobytes(), result.labels.tobytes(), result.selected_g,
+            result.goal_component, result.bic_by_g, {g: bits(f) for g, f in result.fits.items()},
+            t.vertices.tobytes(), t.mean.tobytes(), t.variance.tobytes(), t.reachable.tobytes(),
+            t.cg_stats)
 
 
 def fit_bits(fit_fn, samples, g, cfg):
@@ -244,8 +258,8 @@ class TestEmFit:
     def test_fit_runs_in_the_given_work_array(self):
         vs = synthetic_samples([0.0, 2.0, 4.0], 0.3, 40, 15, seed=2)
         g, n = 3, vs.s1.size
-        work = np.empty((g + 2, n))
-        fit, want = em_fit(vs, g, work=work), em_fit(vs, g)
+        work = np.empty((1, g + 2, n))
+        (fit,), want = em_fit_batch([vs], g, work=work), em_fit(vs, g)
         assert np.shares_memory(fit.responsibilities, work)
         assert fit.responsibilities.shape == (n, g)
         assert fit.responsibilities.tobytes() == want.responsibilities.tobytes()
@@ -254,12 +268,13 @@ class TestEmFit:
         assert fit.components == want.components
 
     @pytest.mark.parametrize("shape, dtype, order", [
-        ((4, 120), np.float64, "C"), ((5, 120), np.float32, "C"), ((5, 120), np.float64, "F"),
+        ((1, 4, 120), np.float64, "C"), ((1, 5, 120), np.float32, "C"),
+        ((1, 5, 120), np.float64, "F"),
     ], ids=["g+1 rows", "float32", "fortran"])
     def test_unfit_work_array_errors(self, shape, dtype, order):
         vs = synthetic_samples([0.0, 2.0, 4.0], 0.3, 40, 15, seed=2)
         with pytest.raises(ValueError, match="work must be"):
-            em_fit(vs, 3, work=np.empty(shape, dtype, order))
+            em_fit_batch([vs], 3, work=np.empty(shape, dtype, order))
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(2, 3000), g=st.integers(2, 6), m=st.integers(1, 40),
@@ -428,13 +443,46 @@ class TestHitmix:
         assert res.selected_g in (2, 3)
         assert set(res.bic_by_g) == {2, 3}
 
+    def test_batch_equals_one_instance_calls(self, monkeypatch, caplog):
+        # SBMs of 80 and 1,000 vertices fill one moment group and one of 600
+        # starts the next. In the edgeless graph the seed reaches no vertex; on
+        # the path it reaches 3 (fewer than g = 4 and 5), and across the one
+        # edge 1, which leaves no feasible g.
+        from hitmix.sbm import SbmConfig, sample_sbm, sample_hitting_set
+        rng = np.random.default_rng(5)
+        instances = []
+        for size, p_in in [(40, 0.2), (500, 0.02), (300, 0.03), (40, 0.2)]:
+            graph, labels = sample_sbm(SbmConfig(2, size, p_in, 0.005), rng)
+            instances.append((graph, sample_hitting_set(labels, 4, rng)))
+        instances += [(Graph.from_edges(n, u, v), SeedSet.from_members([0], n)) for n, u, v in
+                      [(30, [], []), (4, [0, 1, 2], [1, 2, 3]), (3, [0], [1])]]
+        cfg = HitmixConfig()
+        want = []
+        for i, (graph, seeds) in enumerate(instances):
+            try:
+                want.append(result_bits(hitmix(graph, seeds, replace(cfg, rng_seed=i + 10))))
+            except (HitmixError, ValueError) as exc:
+                want.append(result_bits(exc))
+        want_log = [(r.levelname, r.getMessage()) for r in caplog.records]
+        caplog.clear()
+        solves = []
+        monkeypatch.setattr("hitmix.moments.reachable_from",
+                            lambda *args: solves.append(args) or reachable_from(*args))
+        got = hitmix_batch([(g, s, i + 10) for i, (g, s) in enumerate(instances)], cfg)
+        assert [result_bits(r) for r in got] == want
+        assert [(r.levelname, r.getMessage()) for r in caplog.records] == want_log
+        assert len(solves) == 2
+        assert want[4:] == [(ValueError, "no non-seed vertex can reach the seed set"),
+                            want[5], (ValueError, "no feasible g candidate for this instance")]
+        assert set(want[5][5]) == {2, 3}
+
     def test_collapsed_g_is_skipped(self, monkeypatch, caplog):
         def collapse_at_3(samples, g, cfg=None, work=None):
             if g == 3:
-                raise EmCollapseError("EM component collapsed (g=3, iter=1)")
-            return em_fit(samples, g, cfg, work=work)     # this module's unpatched binding
+                return [EmCollapseError("EM component collapsed (g=3, iter=1)")] * len(samples)
+            return em_fit_batch(samples, g, cfg, work=work)   # this module's unpatched binding
 
-        monkeypatch.setattr("hitmix.mixture.em_fit", collapse_at_3)
+        monkeypatch.setattr("hitmix.mixture.em_fit_batch", collapse_at_3)
         rng = np.random.default_rng(0)
         from hitmix.sbm import SbmConfig, sample_sbm, sample_hitting_set
         g, labels = sample_sbm(SbmConfig(2, 60, 0.3, 0.02), rng)
@@ -535,18 +583,19 @@ class TestHitmix:
     def test_each_fit_gets_a_work_array(self, monkeypatch):
         shapes = {}
 
-        def recording_em_fit(samples, g, cfg=None, work=None):
-            shapes[g] = (getattr(work, "shape", None), samples.s1.size)
-            return em_fit(samples, g, cfg, work=work)
+        def recording_em_fit_batch(samples, g, cfg=None, work=None):
+            [s] = samples
+            shapes[g] = (getattr(work, "shape", None), s.s1.size)
+            return em_fit_batch(samples, g, cfg, work=work)
 
-        monkeypatch.setattr("hitmix.mixture.em_fit", recording_em_fit)
+        monkeypatch.setattr("hitmix.mixture.em_fit_batch", recording_em_fit_batch)
         rng = np.random.default_rng(0)
         from hitmix.sbm import SbmConfig, sample_sbm, sample_hitting_set
         graph, labels = sample_sbm(SbmConfig(2, 60, 0.3, 0.02), rng)
         seeds = sample_hitting_set(labels, 15, rng)
         hitmix(graph, seeds, HitmixConfig(rng_seed=4))
         assert set(shapes) == {2, 3, 4, 5}
-        assert all(shape == (g + 2, n) for g, (shape, n) in shapes.items())
+        assert all(shape == (1, g + 2, n) for g, (shape, n) in shapes.items())
 
 
 class TestHitmixConfig:

@@ -202,6 +202,33 @@ class TestComputeMomentsBatch:
             assert_tables_equal(got[i], compute_moments(*instances[i]))
         assert type(got[3]) is ValueError
 
+    def test_reads_one_group_at_a_time(self, monkeypatch):
+        # Instances of 80, 80 | 80, 80 | 80, 30 and 60 vertices in groups of at
+        # most about 160: each group is solved before the next one is read.
+        instances = sbm_instances(3, [0.3, 0.2, 0.1, 0.05, 0.3])
+        pulled, solves = [], []
+        real_reachable = hitmix.moments.reachable_from
+
+        def read():
+            for instance in instances:
+                pulled.append(instance)
+                yield instance
+
+        def spy(graph, seeds):
+            solves.append(len(pulled))
+            return real_reachable(graph, seeds)
+
+        monkeypatch.setattr(hitmix.moments, "_GROUP_VERTICES", 160)
+        monkeypatch.setattr(hitmix.moments, "reachable_from", spy)
+        got = compute_moments_batch(read())
+        assert solves == [2, 4, 7]
+        for (g, seeds), table in zip(instances, got):
+            if isinstance(table, ValueError):
+                with pytest.raises(ValueError, match=f"^{re.escape(str(table))}$"):
+                    compute_moments(g, seeds)
+            else:
+                assert_tables_equal(table, compute_moments(g, seeds))
+
 
 class TestSimulation:
     def test_leaf_adjacent_to_seed(self):

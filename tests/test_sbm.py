@@ -4,6 +4,8 @@ from unittest.mock import Mock
 import numpy as np
 import pytest
 
+import hitmix.mixture
+import hitmix.moments
 import hitmix.sbm
 from hitmix.mixture import EmCollapseError, HitmixConfig
 from hitmix.sbm import (SbmConfig, SimulationSpec, _triangle_pairs, run_simulation,
@@ -149,10 +151,10 @@ class TestRunSimulation:
     def test_only_numerical_and_input_errors_become_failures(self, monkeypatch, caplog):
         # workers=1: the patched name is not seen by worker processes
         spec = small_spec(values=[0.3], mc_samples=2, workers=1)
-        monkeypatch.setattr(hitmix.sbm, "select_membership", Mock(side_effect=TypeError("bug")))
+        monkeypatch.setattr(hitmix.mixture, "select_membership", Mock(side_effect=TypeError("bug")))
         with pytest.raises(TypeError):
             run_simulation(spec)
-        monkeypatch.setattr(hitmix.sbm, "select_membership",
+        monkeypatch.setattr(hitmix.mixture, "select_membership",
                             Mock(side_effect=EmCollapseError("collapsed")))
         s = run_simulation(spec)
         assert s.conditions[0].failures == 2 and all(r.failed for r in s.runs)
@@ -166,7 +168,7 @@ class TestRunSimulation:
         # group, the whole chunk, mixes a failing run with good ones.
         spec = small_spec(values=[0.3, 0.0, 0.2, 0.02], p_out=0.0, hitting_set_size=1,
                           hitmix_cfg=HitmixConfig(g_candidates=(2, 3)))
-        assert hitmix.sbm._GROUP_VERTICES // 80 >= spec.mc_samples
+        assert hitmix.moments._GROUP_VERTICES // 80 >= spec.mc_samples
         want = [reference_run(spec, ci, ri) for ci in range(len(spec.values))
                 for ri in range(spec.mc_samples)]
         want_log = [(r.levelname, r.getMessage()) for r in caplog.records]
@@ -198,7 +200,7 @@ class TestRunSimulation:
         cfg = HitmixConfig(g_candidates=(2, 3))
         spec = small_spec(values=[0.3, 0.05, 0.0], mc_samples=5, hitmix_cfg=cfg)
         a = run_simulation(spec)
-        monkeypatch.setattr(hitmix.sbm, "_GROUP_VERTICES", group_vertices)
+        monkeypatch.setattr(hitmix.moments, "_GROUP_VERTICES", group_vertices)
         b = run_simulation(spec)
         assert runs_csv_lines(a) == runs_csv_lines(b)
         assert summary_csv_lines(a) == summary_csv_lines(b)

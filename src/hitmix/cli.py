@@ -77,8 +77,8 @@ def _load_graph_and_seeds(args):
 
 
 def _cmd_moments(args) -> int:
-    graph, seeds = _load_graph_and_seeds(args)
     cfg = CgConfig(rel_tol=args.cg_tol)
+    graph, seeds = _load_graph_and_seeds(args)
     t0 = time.perf_counter()
     table = compute_moments(graph, seeds, cfg)
     log.info("moments: %d vertices, %s, %.3fs", table.vertices.size,
@@ -95,15 +95,14 @@ def _parse_clusters(text: str) -> tuple[int, ...]:
 
 
 def _cmd_expand(args) -> int:
-    graph, seeds = _load_graph_and_seeds(args)
-    seed = _resolve_seed(args.seed)
     cfg = HitmixConfig(m=args.samples_per_vertex,
                        g_candidates=_named("--clusters", _parse_clusters, args.clusters),
                        tau=args.tau,
                        em_max_iters=args.em_max_iters,
                        em_rel_tol=args.em_tol,
-                       rng_seed=seed,
+                       rng_seed=_resolve_seed(args.seed),
                        cg=CgConfig(rel_tol=args.cg_tol))
+    graph, seeds = _load_graph_and_seeds(args)
     t0 = time.perf_counter()
     result = hitmix(graph, seeds, cfg)
     log.info("expand: %s, selected g=%d, BIC %s, EM iters %s, %.3fs",
@@ -147,35 +146,38 @@ _HITMIX_KEYS = {"samples_per_vertex": ("m", int), "tau": ("tau", float),
                 "clusters": ("g_candidates", _parse_clusters)}
 
 
-def _parse_kv_config(path: str, required: tuple[str, ...], parsers: dict) -> dict:
+def _parse_kv_config(f, required: tuple[str, ...], parsers: dict) -> dict:
     """'key = value' lines, values read by parsers[key]; unknown or missing keys are errors."""
     out = {}
-    with open(path) as f:
-        for line_no, line in data_lines(f):
-            if "=" not in line:
-                raise ValueError(f"{path}:{line_no}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in parsers:
-                raise ValueError(f"{path}: unknown key {key!r}")
-            out[key] = _named(f"{path}: {key}", parsers[key], value.strip())
+    for line_no, line in data_lines(f):
+        if "=" not in line:
+            raise ValueError(f"line {line_no}: expected 'key = value'")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in parsers:
+            raise ValueError(f"line {line_no}: unknown key {key!r}")
+        out[key] = _named(key, parsers[key], value.strip())
     for key in required:
         if key not in out:
-            raise ValueError(f"{path}: missing key {key!r}")
+            raise ValueError(f"missing key {key!r}")
     return out
 
 
-def _cmd_sbm_sim(args) -> int:
-    kv = _parse_kv_config(args.config, ("sweep", "values"),
-                          {**_SPEC_KEYS, **{k: p for k, (_, p) in _HITMIX_KEYS.items()}})
-    fields = {k: v for k, v in kv.items() if k in _SPEC_KEYS}
-    for flag in ("seed", "workers"):        # the flags take priority over the file
-        if getattr(args, flag) is not None:
-            fields[flag] = getattr(args, flag)
-    fields["seed"] = _resolve_seed(fields.get("seed"))
-    spec = SimulationSpec(**fields)
+def _simulation_spec(kv: dict) -> SimulationSpec:
+    """The SimulationSpec, and its HitmixConfig, of an sbm-sim config's keys."""
+    spec = SimulationSpec(**{k: v for k, v in kv.items() if k in _SPEC_KEYS})
     hm_fields = {_HITMIX_KEYS[k][0]: v for k, v in kv.items() if k in _HITMIX_KEYS}
-    spec = replace(spec, hitmix_cfg=replace(spec.hitmix_cfg, **hm_fields))
+    return replace(spec, hitmix_cfg=replace(spec.hitmix_cfg, **hm_fields))
+
+
+def _cmd_sbm_sim(args) -> int:
+    kv = _load(args.config, _parse_kv_config, ("sweep", "values"),
+               {**_SPEC_KEYS, **{k: p for k, (_, p) in _HITMIX_KEYS.items()}})
+    spec = _named(args.config, _simulation_spec, kv)
+    # The flags take priority over the file; their errors name no file.
+    flags = {"seed": args.seed if "seed" in kv else _resolve_seed(args.seed),
+             "workers": args.workers}
+    spec = replace(spec, **{k: v for k, v in flags.items() if v is not None})
     t0 = time.perf_counter()
     summary = run_simulation(spec)
     log.info("sbm-sim: %d conditions x %d runs in %.1fs",
@@ -188,25 +190,24 @@ def _cmd_sbm_sim(args) -> int:
     return 0
 
 
-def _read_label_tsv(path: str) -> dict[int, int]:
+def _read_label_tsv(f) -> dict[int, int]:
     labels = {}
-    with open(path) as f:
-        for line_no, line in data_lines(f):
-            if line.startswith("vertex_id"):
-                continue
-            tokens = line.split("\t")
-            if len(tokens) < 2:
-                raise ValueError(f"{path}:{line_no}: expected 2 columns")
-            try:        # the label is the last column, as in expand's output
-                labels[int(tokens[0])] = int(tokens[-1])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{line_no}: {exc}") from None
+    for line_no, line in data_lines(f):
+        if line.startswith("vertex_id"):
+            continue
+        tokens = line.split("\t")
+        if len(tokens) < 2:
+            raise ValueError(f"line {line_no}: expected 2 columns")
+        try:        # the label is the last column, as in expand's output
+            labels[int(tokens[0])] = int(tokens[-1])
+        except ValueError as exc:
+            raise ValueError(f"line {line_no}: {exc}") from None
     return labels
 
 
 def _cmd_eval(args) -> int:
-    pred = _read_label_tsv(args.predicted)
-    truth = _read_label_tsv(args.truth)
+    pred = _load(args.predicted, _read_label_tsv)
+    truth = _load(args.truth, _read_label_tsv)
     common = sorted(set(pred) & set(truth))
     if len(common) < 2:
         raise ValueError("need at least 2 vertices common to both label files")

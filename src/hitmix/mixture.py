@@ -87,6 +87,8 @@ class HitmixConfig:
             raise ValueError("em_max_iters must be >= 1")
         if not (0.0 <= self.em_rel_tol < 1.0):
             raise ValueError("em_rel_tol must lie in [0, 1)")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be >= 0")
 
 
 @dataclass
@@ -162,21 +164,29 @@ def _log_normal_mle(count, sum1, sum2, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 def em_fit(samples: VertexSamples, g: int, cfg: HitmixConfig | None = None) -> MixtureFit:
     """EM for a g-component lognormal mixture over grouped vertex samples: the
-    one-run call of em_fit_batch. Raises the EmCollapseError that em_fit_batch
-    returns for a collapse."""
-    return one_or_raise(em_fit_batch([samples], g, cfg))
+    one-run call of _em_fit_batch, after checking g. Raises the EmCollapseError
+    that _em_fit_batch returns for a collapse."""
+    if cfg is None:
+        cfg = HitmixConfig()
+    if g < 2:
+        raise ValueError("g must be >= 2")
+    n = samples.s1.size
+    if g > n:
+        raise ValueError(f"g = {g} exceeds number of vertices ({n})")
+    return one_or_raise(_em_fit_batch([samples], g, cfg, np.empty((1, g + 2, n))))
 
 
-def em_fit_batch(samples: list[VertexSamples], g: int, cfg: HitmixConfig | None = None, *,
-                 work: np.ndarray | None = None) -> list[MixtureFit | EmCollapseError]:
-    """em_fit over R runs at once: per run, in input order, its fit or the
+def _em_fit_batch(samples: list[VertexSamples], g: int, cfg: HitmixConfig,
+                  work: np.ndarray) -> list[MixtureFit | EmCollapseError]:
+    """em_fit over R >= 1 runs at once, unchecked: the runs share m and each has at
+    least g >= 2 vertices. Per run, in input order, its fit or the
     EmCollapseError of the first M-step that left a component weight below 1e-12.
 
     log prod_j f(t_ij; theta_k) = -s1_i + [1, s1_i, s2_i] . w_k, so the E-step
     is one stacked (g x 3) @ (3 x n) product, reduced over the g rows into
     responsibilities, and the M-step reads resp @ [1, s1, s2]. The runs are
-    zero-padded to the longest, n_max, and work is a C-contiguous float64
-    (R, g + 2, n_max) array, made here if None: per run, rows [:g] hold the
+    zero-padded to the longest, n_max, and work is a scratch C-contiguous
+    float64 (R, g + 2, n_max) array: per run, rows [:g] hold the
     E-step and then the responsibilities, row g the per-vertex max and row
     g + 1 the total. The parameter step runs on (R, g) arrays. A run leaves
     the batch when it converges, collapses or reaches em_max_iters, and the
@@ -185,23 +195,9 @@ def em_fit_batch(samples: list[VertexSamples], g: int, cfg: HitmixConfig | None 
     summed over exactly its own n entries. The responsibilities of the runs
     that leave last are views of work; the others are copied out.
     """
-    if cfg is None:
-        cfg = HitmixConfig()
-    if g < 2:
-        raise ValueError("g must be >= 2")
-    if not samples:
-        return []
     m = samples[0].m
-    if any(s.m != m for s in samples):
-        raise ValueError("the runs of a batch must share m")
     ns = np.array([s.s1.size for s in samples])
-    if g > ns.min():
-        raise ValueError(f"g = {g} exceeds number of vertices ({ns.min()})")
     n_runs, n_max = ns.size, int(ns.max())
-    shape = (n_runs, g + 2, n_max)
-    work = np.empty(shape) if work is None else work
-    if work.shape != shape or work.dtype != np.float64 or not work.flags.c_contiguous:
-        raise ValueError(f"work must be a C-contiguous float64 array of shape {shape}")
 
     # Rows in falling n, so that runs of equal n are contiguous: each group's
     # log-likelihoods are one pairwise sum per row over exactly its n entries.
@@ -312,7 +308,7 @@ def component_means(fit: MixtureFit) -> np.ndarray:
 
 def fit_candidates(samples: list[VertexSamples], cfg: HitmixConfig
                    ) -> list[dict[int, MixtureFit | EmCollapseError]]:
-    """One em_fit_batch per g of cfg.g_candidates over the runs with at least g
+    """One _em_fit_batch per g of cfg.g_candidates over the runs with at least g
     vertices. Per run, in input order: g -> its fit or its collapse, for each
     feasible g. With more than one g the batches run on threads (NumPy and
     OpenBLAS release the GIL), largest g first, in work arrays made before the
@@ -323,8 +319,8 @@ def fit_candidates(samples: list[VertexSamples], cfg: HitmixConfig
         s.em_stats  # computed once, before the threads share it
     rows = {g: [i for i, n in enumerate(sizes) if g <= n]
             for g in sorted(cfg.g_candidates, reverse=True)}
-    calls = {g: partial(em_fit_batch, [samples[i] for i in idx], g, cfg,
-                        work=np.empty((len(idx), g + 2, max(sizes[i] for i in idx))))
+    calls = {g: partial(_em_fit_batch, [samples[i] for i in idx], g, cfg,
+                        np.empty((len(idx), g + 2, max(sizes[i] for i in idx))))
              for g, idx in rows.items() if idx}
     workers = min(len(calls), os.cpu_count() or 1) if len(calls) > 1 else 1
     if workers > 1:

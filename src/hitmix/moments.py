@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .graph import Graph, SeedSet, reachable_from
-from .solver import CgConfig, CgStats, HitmixError, conjugate_gradient_blocks, one_or_raise
+from .solver import CgConfig, CgStats, HitmixError, _conjugate_gradient_blocks, one_or_raise
 
 # compute_moments_batch solves groups of about this many vertices on one union:
 # that saves scipy and CG per-call costs on small instances, but from 800
@@ -101,7 +101,7 @@ def compute_moments_batch(instances: Iterable[tuple[Graph, SeedSet]], cfg: CgCon
     would take it past _GROUP_VERTICES vertices, so equal instances of n
     vertices go max(1, _GROUP_VERTICES // n) to a group. A group is joined into
     one block-diagonal graph: one reachable_from, one restricted_laplacian and,
-    per moment, one conjugate_gradient_blocks serve it. Each instance's H is a
+    per moment, one _conjugate_gradient_blocks serve it. Each instance's H is a
     diagonal block of the joined one, entry for entry, and its solves are bit
     for bit its own, so each table is what compute_moments gives alone. An
     instance whose first solve fails has a zero rhs in the second.
@@ -135,7 +135,7 @@ def _solve_group(instances: list[tuple[Graph, SeedSet]], cfg: CgConfig) -> list:
     stats: list[list[CgStats]] = [[] for _ in instances]
 
     def solve(order: int, b: np.ndarray) -> np.ndarray:
-        x_tilde, results = conjugate_gradient_blocks(h, sqrt_deg * b, bounds, cfg)
+        x_tilde, results = _conjugate_gradient_blocks(h, sqrt_deg * b, bounds, cfg)
         for i, st in enumerate(results):
             if out[i] is not None:
                 continue

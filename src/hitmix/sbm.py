@@ -118,10 +118,15 @@ class SimulationSpec:
             raise ValueError("mc_samples must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not self.values:
             raise ValueError("sweep values must be non-empty")
         cast = float if self.sweep == "p_in" else int
-        self.values = [cast(v) for v in self.values]
+        try:
+            self.values = [cast(v) for v in self.values]
+        except ValueError as exc:
+            raise ValueError(f"values: {exc}") from None
         for v in self.values:
             self.condition(v)
 
@@ -208,23 +213,21 @@ def _score(value, run_idx: int, block_labels: np.ndarray,
 
 
 def _run_chunk(job: tuple[SimulationSpec, int, range]) -> list[RunRecord]:
-    """The records of one condition's runs, in run order. hitmix_batch samples
-    every instance, through instances(), before it yields a result."""
+    """The records of one condition's runs, in run order."""
     spec, cond_idx, runs = job
     value = spec.values[cond_idx]
     sbm_cfg, hs_size = spec.condition(value)
-    labels = []
+    block_labels = np.arange(sbm_cfg.n_vertices) // sbm_cfg.block_size   # as sample_sbm's
 
     def instances():
         for run_idx in runs:
             rng = np.random.default_rng([spec.seed, cond_idx, run_idx])
-            graph, block_labels = sample_sbm(sbm_cfg, rng)
-            labels.append(block_labels)
+            graph, _ = sample_sbm(sbm_cfg, rng)
             seeds = sample_hitting_set(block_labels, hs_size, rng)
             yield graph, seeds, int(rng.integers(0, 2 ** 31 - 1))
 
-    return [_score(value, runs[i], labels[i], result)
-            for i, result in enumerate(hitmix_batch(instances(), spec.hitmix_cfg))]
+    return [_score(value, run_idx, block_labels, result)
+            for run_idx, result in zip(runs, hitmix_batch(instances(), spec.hitmix_cfg))]
 
 
 def run_simulation(spec: SimulationSpec) -> McSummary:

@@ -4,9 +4,9 @@ The matrix is H = I - D^{-1/2} A D^{-1/2} restricted to a vertex subset
 (moments.restricted_laplacian). It is symmetric, and positive definite whenever
 every subset vertex has a path to a vertex outside the subset (for us: to the
 seed set). The H of several graphs joined side by side
-(moments.compute_moments_batch) is block diagonal, one block per graph:
-conjugate_gradient_blocks solves all its blocks at once, each exactly as
-conjugate_gradient solves it alone.
+(moments.compute_moments_batch) is block diagonal, one block per graph: the
+private kernel _conjugate_gradient_blocks solves all its blocks at once, each
+exactly as conjugate_gradient solves it alone.
 """
 
 from __future__ import annotations
@@ -74,34 +74,12 @@ _BREAKDOWN = ("conjugate gradient broke down (non-positive or non-finite curvatu
 def conjugate_gradient(h: sp.csr_matrix, b: np.ndarray,
                        cfg: CgConfig | None = None) -> tuple[np.ndarray, CgStats]:
     """Solve h @ x = b with textbook (Hestenes-Stiefel) conjugate gradients: the
-    one-block call of conjugate_gradient_blocks. Raises the NonSpdError that it
-    returns for a breakdown.
+    one-block call of _conjugate_gradient_blocks, after checking h and b. Raises
+    the NonSpdError that it returns for a breakdown.
 
     Converged means the true residual is within cfg.rel_tol or at the
     double-precision floor; CgStats.final_rel_residual is the true relative
     residual attained.
-    """
-    x, stats = conjugate_gradient_blocks(h, b, (0, h.shape[0]), cfg)
-    return x, one_or_raise(stats)
-
-
-def conjugate_gradient_blocks(h: sp.csr_matrix, b: np.ndarray, bounds,
-                              cfg: CgConfig | None = None
-                              ) -> tuple[np.ndarray, list[CgStats | NonSpdError]]:
-    """conjugate_gradient on each diagonal block of a block-diagonal h at once.
-
-    Block j spans rows and columns bounds[j]:bounds[j + 1], and h has no entry
-    outside the blocks. Returns x over all rows and, per block, its CgStats or
-    the NonSpdError of its breakdown (its rows of x are then 0).
-
-    The blocks run in lockstep: a step is one csr_matvec and one set of x, r and
-    p updates over the rows from the first to the last unfinished block, with
-    each block's alpha and beta spread over its rows. Everything that decides a
-    block's result is its own: alpha, beta, the breakdown and stop tests, its
-    budget of max(1000, 10 n_j) steps and its true residual, all from dot
-    products over its rows. So each block gets, bit for bit, the x and CgStats
-    of its solve alone. A finished block's r and p are zeroed, so between
-    unfinished blocks it rides along unchanged.
     """
     if cfg is None:
         cfg = CgConfig()
@@ -115,17 +93,32 @@ def conjugate_gradient_blocks(h: sp.csr_matrix, b: np.ndarray, bounds,
         raise ValueError(f"operator shape {h.shape} is not square")
     if not np.all(np.isfinite(b)):
         raise ValueError("rhs contains non-finite entries")
-    bounds = [int(v) for v in bounds]
+    x, stats = _conjugate_gradient_blocks(h, b, (0, n), cfg)
+    return x, one_or_raise(stats)
+
+
+def _conjugate_gradient_blocks(h: sp.csr_matrix, b: np.ndarray, bounds, cfg: CgConfig
+                               ) -> tuple[np.ndarray, list[CgStats | NonSpdError]]:
+    """conjugate_gradient on each diagonal block of a block-diagonal h at once,
+    unchecked: h is a square CSR matrix with no entry outside the blocks, b a
+    finite float64 vector of its size, and block j spans rows and columns
+    bounds[j]:bounds[j + 1], with bounds rising from 0 to the size of h.
+    Returns x over all rows and, per block, its CgStats or the NonSpdError of
+    its breakdown (its rows of x are then 0).
+
+    The blocks run in lockstep: a step is one csr_matvec and one set of x, r and
+    p updates over the rows from the first to the last unfinished block, with
+    each block's alpha and beta spread over its rows. Everything that decides a
+    block's result is its own: alpha, beta, the breakdown and stop tests, its
+    budget of max(1000, 10 n_j) steps and its true residual, all from dot
+    products over its rows. So each block gets, bit for bit, the x and CgStats
+    of its solve alone. A finished block's r and p are zeroed, so between
+    unfinished blocks it rides along unchanged.
+    """
+    n = h.shape[0]
     blocks = list(zip(bounds, bounds[1:]))
-    if not blocks or bounds[0] != 0 or bounds[-1] != n or any(lo > hi for lo, hi in blocks):
-        raise ValueError(f"block bounds must rise from 0 to the operator size {n}")
     n_blocks = len(blocks)
     indptr, indices, data = h.indptr, h.indices, h.data
-    if n_blocks > 1:
-        for lo, hi in blocks:
-            cols = indices[indptr[lo]:indptr[hi]]
-            if cols.size and (cols.min() < lo or cols.max() >= hi):
-                raise ValueError("operator has entries outside its diagonal blocks")
 
     x = np.zeros(n)
     r = b.copy()

@@ -16,7 +16,7 @@ import hitmix.sbm
 from hitmix.cli import _tsv, run
 from hitmix.graph import EdgeListParseError, load_edge_list
 from hitmix.mixture import EmCollapseError, HitmixConfig
-from hitmix.sbm import McSummary, SimulationSpec
+from hitmix.sbm import SWEEPS, McSummary, SimulationSpec
 from hitmix.solver import CgStats, NonSpdError
 
 PATH3 = "0 1\n1 2\n"
@@ -147,13 +147,14 @@ def test_sbm_sim_smoke(tmp_path):
 
 
 @pytest.mark.parametrize("text, message", [
-    ("sweep = p_in\nvalues = 0.3\nblock_sise = 30\n", "unknown key 'block_sise'"),
+    ("sweep = p_in\nvalues = 0.3\nblock_sise = 30\n", "line 3: unknown key 'block_sise'"),
+    ("sweep = p_in\nvalues = 0.3\nfoo\n", "line 3: expected 'key = value'"),
     ("values = 0.3\n", "missing key 'sweep'"),
     ("sweep = p_in\nvalues = 0.3\nmc_samples = x\n",
      "mc_samples: invalid literal for int() with base 10: 'x'"),
     ("sweep = p_in\nvalues = 0.3\nclusters = 2,x\n",
      "clusters: invalid literal for int() with base 10: 'x'"),
-], ids=["unknown", "missing", "mc_samples", "clusters"])
+], ids=["unknown", "no_equals", "missing", "mc_samples", "clusters"])
 def test_sbm_sim_config_keys_checked(tmp_path, caplog, text, message):
     cfg = tmp_path / "sim.cfg"
     cfg.write_text(text)
@@ -246,14 +247,17 @@ def test_parser_keeps_no_value_between_runs(workdir, caplog):
      "scale_p_out needs n_blocks >= 2"),
     ("sweep = p_in\nvalues = 0.3\np_out = 1.5\n", "edge probabilities must lie in [0, 1]"),
     ("sweep = p_in\nvalues = 0.3\nworkers = -4\n", "workers must be >= 1"),
-], ids=["scale_p_out_one_block", "p_out", "workers"])
+    ("sweep = p_in\nvalues = 0.3, x\n", "values: could not convert string to float: 'x'"),
+    ("sweep = nope\nvalues = 0.3\n", f"sweep must be one of {SWEEPS}"),
+    ("sweep = p_in\nvalues = 0.3\ntau = 2\n", "tau must lie in [0, 1]"),
+], ids=["scale_p_out_one_block", "p_out", "workers", "values", "sweep", "tau"])
 def test_sbm_sim_invalid_setting_fails_before_any_run(tmp_path, caplog, text, message):
     cfg = tmp_path / "sim.cfg"
     cfg.write_text(text + "seed = 1\n")
     rc = run(["sbm-sim", "--config", str(cfg), "--out", str(tmp_path / "r")])
     assert rc == 2
     assert [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR] \
-        == [message]
+        == [f"{cfg}: {message}"]
     assert not (tmp_path / "r").exists()
 
 
@@ -265,24 +269,37 @@ def test_sbm_sim_hitting_set_larger_than_block_fails_before_any_run(tmp_path, ca
     cfg.write_text("sweep = hitting_set_size\nvalues = 10, 150\nmc_samples = 3\nseed = 1\n")
     assert run(["sbm-sim", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
     assert [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR] \
-        == ["hitting set size must lie in [1, 100]"]
+        == [f"{cfg}: hitting set size must lie in [1, 100]"]
     assert sampled == []
     assert not (tmp_path / "r").exists()
 
 
-@pytest.mark.parametrize("command", ["expand", "sbm-sim"])
-def test_repeated_clusters_fail_before_any_solve(workdir, caplog, monkeypatch, command):
+@pytest.mark.parametrize("command, bad, message", [
+    ("expand", ["--clusters", "2,2"], "g candidates must be one or more distinct integers >= 2"),
+    ("sbm-sim", "clusters = 2,2", "CFG: g candidates must be one or more distinct integers >= 2"),
+    ("expand", ["--seed", "-1"], "rng_seed must be >= 0"),
+    ("sbm-sim", "seed = -1", "CFG: seed must be >= 0"),
+    ("sbm-sim", ["--seed", "-2"], "seed must be >= 0"),
+    ("moments", ["--cg-tol", "2"], "rel_tol must lie in (0, 1)"),
+], ids=["expand", "sbm-sim", "expand-seed", "sbm-sim-seed", "sbm-sim-seed-flag", "moments-cg-tol"])
+def test_repeated_clusters_fail_before_any_solve(workdir, caplog, monkeypatch, command, bad,
+                                                 message):
+    # A bad setting, a config line or flags (the last of a repeated flag wins),
+    # stops the command before it reads the graph, solves moments or samples an SBM.
     calls = []
+    monkeypatch.setattr(hitmix.cli, "load_edge_list", lambda *a: calls.append(a))
     monkeypatch.setattr(hitmix.mixture, "compute_moments_batch", lambda *a: calls.append(a))
     monkeypatch.setattr(hitmix.sbm, "sample_sbm", lambda *a: calls.append(a))
-    (workdir / "sim.cfg").write_text("sweep = p_in\nvalues = 0.3\nclusters = 2,2\nseed = 1\n")
-    args = {"expand": ["--graph", str(workdir / "g.txt"), "--seeds", str(workdir / "s.txt"),
-                       "--clusters", "2,2", "--seed", "1"],
-            "sbm-sim": ["--config", str(workdir / "sim.cfg")]}[command]
+    cfg = workdir / "sim.cfg"
+    cfg.write_text("sweep = p_in\nvalues = 0.3\nseed = 1\n"
+                   + (bad + "\n" if isinstance(bad, str) else ""))
+    graph_and_seeds = ["--graph", str(workdir / "g.txt"), "--seeds", str(workdir / "s.txt")]
+    args = {"expand": [*graph_and_seeds, "--clusters", "2", "--seed", "1"],
+            "moments": graph_and_seeds, "sbm-sim": ["--config", str(cfg)]}[command]
     out = workdir / "r"
-    assert run([command, *args, "--out", str(out)]) == 2
+    assert run([command, *args, *([] if isinstance(bad, str) else bad), "--out", str(out)]) == 2
     assert [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR] \
-        == ["g candidates must be one or more distinct integers >= 2"]
+        == [message.replace("CFG", str(cfg))]
     assert calls == []
     assert not out.exists()
 
@@ -358,7 +375,7 @@ def test_eval_one_column_is_input_error(tmp_path, caplog):
               "--truth", str(tmp_path / "t.tsv")])
     assert rc == 2
     assert [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR] \
-        == [f"{tmp_path / 'p.tsv'}:2: expected 2 columns"]
+        == [f"{tmp_path / 'p.tsv'}: line 2: expected 2 columns"]
 
 
 def test_eval_scores_expand_output(tmp_path, capsys):
@@ -388,22 +405,48 @@ def test_eval_non_integer_is_input_error(tmp_path, caplog, row, bad):
               "--truth", str(tmp_path / "t.tsv")])
     assert rc == 2
     assert [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR] \
-        == [f"{tmp_path / 'p.tsv'}:2: invalid literal for int() with base 10: {bad}"]
+        == [f"{tmp_path / 'p.tsv'}: line 2: invalid literal for int() with base 10: {bad}"]
 
 
 def test_module_entry_point_runs_commands(tmp_path):
-    # python -m hitmix.cli must run the command, not import the module and exit 0.
-    (tmp_path / "p.tsv").write_text("vertex_id\n0\n1\n")
+    # python -m hitmix.cli must run the command, not import the module and exit
+    # 0. Each input error is exit code 2 and one ERROR line that names its source.
+    (tmp_path / "g.txt").write_text(PATH3)
+    (tmp_path / "s.txt").write_text("2\n")
     (tmp_path / "t.tsv").write_text("0\t1\n1\t0\n")
+    sim, tsv = tmp_path / "sim.cfg", tmp_path / "p.tsv"
+    expand = ["expand", "--graph", str(tmp_path / "g.txt"), "--seeds", str(tmp_path / "s.txt"),
+              "--out", str(tmp_path / "o.tsv")]
+    sbm_sim = ["sbm-sim", "--config", str(sim), "--out", str(tmp_path / "r")]
+    evaluate = ["eval", "--predicted", str(tsv), "--truth", str(tmp_path / "t.tsv")]
+    head = "sweep = p_in\nvalues = 0.3\n"
+    cases = [   # (argv, the file it reads and its text, or None, the error message)
+        (sbm_sim, (sim, "sweep = p_in\nvalues = 0.3, x\nseed = 1\n"),
+         f"{sim}: values: could not convert string to float: 'x'"),
+        (sbm_sim, (sim, "sweep = nope\nvalues = 0.3\nseed = 1\n"),
+         f"{sim}: sweep must be one of {SWEEPS}"),
+        (sbm_sim, (sim, head + "tau = 2\nseed = 1\n"), f"{sim}: tau must lie in [0, 1]"),
+        (sbm_sim, (sim, head + "seed = -1\n"), f"{sim}: seed must be >= 0"),
+        (sbm_sim + ["--seed", "-2"], (sim, head), "seed must be >= 0"),
+        (expand + ["--seed", "-1"], None, "rng_seed must be >= 0"),
+        (sbm_sim, (sim, head + "foo\n"), f"{sim}: line 3: expected 'key = value'"),
+        (sbm_sim, (sim, head + "block_sise = 30\n"), f"{sim}: line 3: unknown key 'block_sise'"),
+        (evaluate, (tsv, "0\t1\n1\n"), f"{tsv}: line 2: expected 2 columns"),
+        (evaluate, (tsv, "0\t1\nx\t1\n"),
+         f"{tsv}: line 2: invalid literal for int() with base 10: 'x'"),
+    ]
     src = os.path.dirname(os.path.dirname(hitmix.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "hitmix.cli", "eval", "--predicted", str(tmp_path / "p.tsv"),
-         "--truth", str(tmp_path / "t.tsv")],
-        env=env, capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 2
-    assert "expected 2 columns" in proc.stderr
+    for argv, file, message in cases:
+        if file is not None:
+            file[0].write_text(file[1])
+        proc = subprocess.run([sys.executable, "-m", "hitmix.cli", *argv],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2, message
+        assert [line for line in proc.stderr.splitlines() if line.startswith("ERROR")] \
+            == [f"ERROR hitmix: {message}"]
+        assert "Traceback" not in proc.stderr
 
 
 def _raise(exc):
@@ -412,21 +455,21 @@ def _raise(exc):
     return fail
 
 
-def _unconverged_cg(h, b, bounds, cfg=None):
+def _unconverged_cg(h, b, bounds, cfg):
     return np.zeros(b.size), [CgStats(7, 0.5, False)] * (len(bounds) - 1)
 
 
-def _collapsed_fits(samples, g, cfg=None, work=None):
+def _collapsed_fits(samples, g, cfg, work):
     return [EmCollapseError(f"EM component collapsed (g={g}, iter=1)")] * len(samples)
 
 
 @pytest.mark.parametrize("command, target, replacement, message", [
-    ("moments", (hitmix.moments, "conjugate_gradient_blocks"),
+    ("moments", (hitmix.moments, "_conjugate_gradient_blocks"),
      _raise(NonSpdError("operator is not SPD")), "NonSpdError: operator is not SPD"),
-    ("moments", (hitmix.moments, "conjugate_gradient_blocks"), _unconverged_cg,
+    ("moments", (hitmix.moments, "_conjugate_gradient_blocks"), _unconverged_cg,
      "MomentConvergenceError: CG failed to converge for moment 1: "
      "rel residual 5.000e-01 after 7 iters"),
-    ("expand", (hitmix.mixture, "em_fit_batch"), _collapsed_fits,
+    ("expand", (hitmix.mixture, "_em_fit_batch"), _collapsed_fits,
      "EmCollapseError: EM component collapsed (g=2, iter=1)"),
 ], ids=["NonSpdError", "MomentConvergenceError", "EmCollapseError"])
 def test_numerical_failure_exit_code(workdir, caplog, capsys, command, target,

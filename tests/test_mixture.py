@@ -13,8 +13,8 @@ from scipy.stats import lognorm
 
 from hitmix.graph import Graph, SeedSet, load_edge_list, reachable_from
 from hitmix.mixture import (EmCollapseError, HitmixConfig, MomentTable,
-                            VertexSamples, bic, component_means,
-                            draw_pseudo_samples, em_fit, em_fit_batch, hitmix,
+                            VertexSamples, _em_fit_batch, bic, component_means,
+                            draw_pseudo_samples, em_fit, fit_candidates, hitmix,
                             hitmix_batch, lognormal_mom)
 from hitmix.moments import compute_moments
 from hitmix.solver import HitmixError
@@ -259,22 +259,13 @@ class TestEmFit:
         vs = synthetic_samples([0.0, 2.0, 4.0], 0.3, 40, 15, seed=2)
         g, n = 3, vs.s1.size
         work = np.empty((1, g + 2, n))
-        (fit,), want = em_fit_batch([vs], g, work=work), em_fit(vs, g)
+        (fit,), want = _em_fit_batch([vs], g, HitmixConfig(), work), em_fit(vs, g)
         assert np.shares_memory(fit.responsibilities, work)
         assert fit.responsibilities.shape == (n, g)
         assert fit.responsibilities.tobytes() == want.responsibilities.tobytes()
         assert np.array(fit.ll_history).tobytes() == np.array(want.ll_history).tobytes()
         assert fit.weights.tobytes() == want.weights.tobytes()
         assert fit.components == want.components
-
-    @pytest.mark.parametrize("shape, dtype, order", [
-        ((1, 4, 120), np.float64, "C"), ((1, 5, 120), np.float32, "C"),
-        ((1, 5, 120), np.float64, "F"),
-    ], ids=["g+1 rows", "float32", "fortran"])
-    def test_unfit_work_array_errors(self, shape, dtype, order):
-        vs = synthetic_samples([0.0, 2.0, 4.0], 0.3, 40, 15, seed=2)
-        with pytest.raises(ValueError, match="work must be"):
-            em_fit_batch([vs], 3, work=np.empty(shape, dtype, order))
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(2, 3000), g=st.integers(2, 6), m=st.integers(1, 40),
@@ -300,9 +291,9 @@ class TestEmFit:
 
     def test_too_many_components_errors(self):
         vs = synthetic_samples([0.0], 0.1, 3, 5, seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^g = 4 exceeds number of vertices \(3\)$"):
             em_fit(vs, 4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^g must be >= 2$"):
             em_fit(vs, 1)
 
 
@@ -314,6 +305,11 @@ def random_samples(n, m, groups, seed):
     means = np.exp(log_means)
     table = moment_table(np.arange(n), means, means ** 2 * rng.uniform(0.01, 1.0))
     return draw_pseudo_samples(table, m, seed)
+
+
+def batch_fits(samples, g, cfg):
+    """The fits of one _em_fit_batch over all the runs, through fit_candidates."""
+    return [fits[g] for fits in fit_candidates(samples, replace(cfg, g_candidates=(g,)))]
 
 
 class TestEmFitBatch:
@@ -328,16 +324,16 @@ class TestEmFitBatch:
         samples = [random_samples(n, m, groups, seed + i) for i, n in enumerate(sizes)]
         cfg = HitmixConfig(em_max_iters=max_iters)
         alone = [fit_bits(em_fit, s, g, cfg) for s in samples]
-        assert [bits(f) for f in em_fit_batch(samples, g, cfg)] == alone
+        assert [bits(f) for f in batch_fits(samples, g, cfg)] == alone
         # A fit's bytes do not depend on the other runs in its batch.
-        assert [bits(f) for f in em_fit_batch(samples[::-1], g, cfg)] == alone[::-1]
+        assert [bits(f) for f in batch_fits(samples[::-1], g, cfg)] == alone[::-1]
 
     def test_collapse_leaves_the_other_runs_unchanged(self):
         # three_separated_groups collapses at g = 4 in the first M-step.
         samples = [random_samples(300, 31, 2, 1), three_separated_groups(),
                    random_samples(150, 31, 3, 2)]
         cfg = HitmixConfig()
-        fits = em_fit_batch(samples, 4, cfg)
+        fits = batch_fits(samples, 4, cfg)
         assert isinstance(fits[1], EmCollapseError)
         assert str(fits[1]) == "EM component collapsed (g=4, iter=1)"
         with pytest.raises(EmCollapseError, match=r"^EM component collapsed \(g=4, iter=1\)$"):
@@ -350,19 +346,12 @@ class TestEmFitBatch:
         # responsibilities stay a view of the batch's (R, g + 2, n_max) work.
         samples = [random_samples(120, 25, 2, 0), random_samples(90, 25, 2, 1),
                    random_samples(60, 25, 2, 0)]
-        fits = em_fit_batch(samples, 2, HitmixConfig())
+        fits = batch_fits(samples, 2, HitmixConfig())
         assert [f.iterations for f in fits] == [7, 4, 11]
         last = max(fits, key=lambda f: f.iterations)
         for fit in fits:
             assert fit.responsibilities.base is not None
             assert (fit is last) == (fit.responsibilities.base.ndim == 3)
-
-    def test_infeasible_run_or_mixed_m_errors(self):
-        with pytest.raises(ValueError, match=r"^g = 4 exceeds number of vertices \(3\)$"):
-            em_fit_batch([random_samples(50, 5, 1, 0), random_samples(3, 5, 1, 1)], 4)
-        with pytest.raises(ValueError, match=r"share m"):
-            em_fit_batch([random_samples(50, 5, 1, 0), random_samples(50, 6, 1, 1)], 2)
-        assert em_fit_batch([], 2) == []
 
 
 class TestBic:
@@ -477,12 +466,12 @@ class TestHitmix:
         assert set(want[5][5]) == {2, 3}
 
     def test_collapsed_g_is_skipped(self, monkeypatch, caplog):
-        def collapse_at_3(samples, g, cfg=None, work=None):
+        def collapse_at_3(samples, g, cfg, work):
             if g == 3:
                 return [EmCollapseError("EM component collapsed (g=3, iter=1)")] * len(samples)
-            return em_fit_batch(samples, g, cfg, work=work)   # this module's unpatched binding
+            return _em_fit_batch(samples, g, cfg, work)   # this module's unpatched binding
 
-        monkeypatch.setattr("hitmix.mixture.em_fit_batch", collapse_at_3)
+        monkeypatch.setattr("hitmix.mixture._em_fit_batch", collapse_at_3)
         rng = np.random.default_rng(0)
         from hitmix.sbm import SbmConfig, sample_sbm, sample_hitting_set
         g, labels = sample_sbm(SbmConfig(2, 60, 0.3, 0.02), rng)
@@ -583,12 +572,12 @@ class TestHitmix:
     def test_each_fit_gets_a_work_array(self, monkeypatch):
         shapes = {}
 
-        def recording_em_fit_batch(samples, g, cfg=None, work=None):
+        def recording_em_fit_batch(samples, g, cfg, work):
             [s] = samples
-            shapes[g] = (getattr(work, "shape", None), s.s1.size)
-            return em_fit_batch(samples, g, cfg, work=work)
+            shapes[g] = (work.shape, s.s1.size)
+            return _em_fit_batch(samples, g, cfg, work)
 
-        monkeypatch.setattr("hitmix.mixture.em_fit_batch", recording_em_fit_batch)
+        monkeypatch.setattr("hitmix.mixture._em_fit_batch", recording_em_fit_batch)
         rng = np.random.default_rng(0)
         from hitmix.sbm import SbmConfig, sample_sbm, sample_hitting_set
         graph, labels = sample_sbm(SbmConfig(2, 60, 0.3, 0.02), rng)

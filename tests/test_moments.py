@@ -184,14 +184,14 @@ class TestComputeMomentsBatch:
         monkeypatch.setattr(hitmix.solver, "_done",
                             lambda r, x, b, cfg: b != target and real_done(r, x, b, cfg))
         calls = []
-        real_blocks = hitmix.moments.conjugate_gradient_blocks
+        real_blocks = hitmix.moments._conjugate_gradient_blocks
 
         def spy(h, b, bounds, cfg):
             x, results = real_blocks(h, b, bounds, cfg)
             calls.append((b.copy(), list(bounds), results))
             return x, results
 
-        monkeypatch.setattr(hitmix.moments, "conjugate_gradient_blocks", spy)
+        monkeypatch.setattr(hitmix.moments, "_conjugate_gradient_blocks", spy)
         got = compute_moments_batch(instances)
         assert type(got[1]) is MomentConvergenceError and got[1].moment_order == 1
         with pytest.raises(MomentConvergenceError, match=f"^{re.escape(str(got[1]))}$"):

@@ -9,7 +9,7 @@ import hitmix.solver
 import oracles
 from hitmix.graph import Graph, SeedSet, load_edge_list, reachable_from
 from hitmix.moments import compute_moments, restricted_laplacian
-from hitmix.solver import CgConfig, CgStats, NonSpdError, conjugate_gradient, conjugate_gradient_blocks
+from hitmix.solver import CgConfig, CgStats, NonSpdError, _conjugate_gradient_blocks, conjugate_gradient
 from oracles import path3, random_connected, reference_cg
 
 
@@ -353,11 +353,12 @@ def join_blocks(blocks, index_dtype=np.int32):
 
 
 def assert_blocks_equal_reference(blocks, rhs, cfg=None, index_dtype=np.int32):
-    """One conjugate_gradient_blocks solve over the joined blocks gives each
+    """One _conjugate_gradient_blocks solve over the joined blocks gives each
     block reference_cg's x bytes and stats, or its NonSpdError message."""
     h, starts = join_blocks(blocks, index_dtype)
     assert h.indices.dtype == index_dtype
-    x, results = conjugate_gradient_blocks(h, np.concatenate(rhs), starts, cfg)
+    x, results = _conjugate_gradient_blocks(h, np.concatenate(rhs), starts.tolist(),
+                                            cfg or CgConfig())
     assert len(results) == len(blocks)
     for blk, b, got, lo, hi in zip(blocks, rhs, results, starts, starts[1:]):
         try:
@@ -436,15 +437,10 @@ class TestBlocksEqualReferenceCg:
         assert [st.iterations for st in results] == [1000, 1990, 1490]
         assert not any(st.converged for st in results)
 
-    def test_bounds_checked(self):
+    def test_empty_block(self):
+        # An instance with no reachable vertex is a block of no rows.
         h, starts = join_blocks([laplacian(*path3()), laplacian(*path3())])
-        b = np.ones(4)
-        for bounds in ([0, 2], [0, 3, 2, 4], [1, 4], [4]):
-            with pytest.raises(ValueError, match="block bounds must rise from 0"):
-                conjugate_gradient_blocks(h, b, bounds)
-        with pytest.raises(ValueError, match="entries outside its diagonal blocks"):
-            conjugate_gradient_blocks(h, b, [0, 1, 4])
-        x, results = conjugate_gradient_blocks(h, b, [0, 2, 2, 4])
+        x, results = _conjugate_gradient_blocks(h, np.ones(4), [0, 2, 2, 4], CgConfig())
         assert results[1] == CgStats(0, 0.0, True)
         assert x.tobytes() == np.concatenate([conjugate_gradient(laplacian(*path3()),
                                                                  np.ones(2))[0]] * 2).tobytes()

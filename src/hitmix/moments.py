@@ -104,7 +104,7 @@ def compute_moments_batch(instances: Iterable[tuple[Graph, SeedSet]], cfg: CgCon
     per moment, one _conjugate_gradient_blocks serve it. Each instance's H is a
     diagonal block of the joined one, entry for entry, and its solves are bit
     for bit its own, so each table is what compute_moments gives alone. An
-    instance whose first solve fails has a zero rhs in the second.
+    instance whose first solve fails has a zero rhs and start in the second.
     """
     if cfg is None:
         cfg = CgConfig()
@@ -134,8 +134,8 @@ def _solve_group(instances: list[tuple[Graph, SeedSet]], cfg: CgConfig) -> list:
     sqrt_deg = np.sqrt(graph.degrees[vertices])
     stats: list[list[CgStats]] = [[] for _ in instances]
 
-    def solve(order: int, b: np.ndarray) -> np.ndarray:
-        x_tilde, results = _conjugate_gradient_blocks(h, sqrt_deg * b, bounds, cfg)
+    def solve(order: int, b: np.ndarray, **start) -> np.ndarray:
+        x_tilde, results = _conjugate_gradient_blocks(h, sqrt_deg * b, bounds, cfg, **start)
         for i, st in enumerate(results):
             if out[i] is not None:
                 continue
@@ -147,7 +147,10 @@ def _solve_group(instances: list[tuple[Graph, SeedSet]], cfg: CgConfig) -> list:
                 stats[i].append(st)
         return x_tilde / sqrt_deg
 
-    et1 = solve(1, np.ones(vertices.size))
+    # Moment 2's rhs, 2x - b in symmetrized coordinates, lies in moment 1's Krylov
+    # space; its Galerkin start there lands in x0 (0 where moment 1 fails).
+    x0 = np.empty(vertices.size)
+    et1 = solve(1, np.ones(vertices.size), galerkin=x0)
     if all(o is not None for o in out):
         return out
     # (I - P) E T = 1 turns P E T into E T - 1, so this right-hand side
@@ -156,7 +159,7 @@ def _solve_group(instances: list[tuple[Graph, SeedSet]], cfg: CgConfig) -> list:
     for o, lo, hi in zip(out, bounds, bounds[1:]):
         if o is not None:
             b2[lo:hi] = 0.0
-    et2 = solve(2, b2)
+    et2 = solve(2, b2, x0=x0)
     # Tiny negatives from solver tolerance are clamped to zero.
     var = np.maximum(et2 - et1 ** 2, 0.0)
     for i, ((_, s), mask, lo, hi) in enumerate(zip(instances, masks, bounds, bounds[1:])):

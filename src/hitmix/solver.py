@@ -97,7 +97,8 @@ def conjugate_gradient(h: sp.csr_matrix, b: np.ndarray,
     return x, one_or_raise(stats)
 
 
-def _conjugate_gradient_blocks(h: sp.csr_matrix, b: np.ndarray, bounds, cfg: CgConfig
+def _conjugate_gradient_blocks(h: sp.csr_matrix, b: np.ndarray, bounds, cfg: CgConfig,
+                               x0: np.ndarray | None = None, galerkin: np.ndarray | None = None
                                ) -> tuple[np.ndarray, list[CgStats | NonSpdError]]:
     """conjugate_gradient on each diagonal block of a block-diagonal h at once,
     unchecked: h is a square CSR matrix with no entry outside the blocks, b a
@@ -114,14 +115,26 @@ def _conjugate_gradient_blocks(h: sp.csr_matrix, b: np.ndarray, bounds, cfg: CgC
     products over its rows. So each block gets, bit for bit, the x and CgStats
     of its solve alone. A finished block's r and p are zeroed, so between
     unfinished blocks it rides along unchanged.
+
+    With x0, each block starts from its rows of x0 (0 where b is 0); its
+    residual stays relative to ||b|| and its ||x|| bound starts at ||x0||.
+    With galerkin, an n-vector, a solve from 0 writes there, per converged
+    block (0 for the others), the Galerkin start sum_i p_i (p_i.c) / (p_i.Hp_i)
+    of H y = c = 2x - b over its directions p_i. In exact arithmetic
+    p_i.b = rr_i and p_k.p_i = (rr_i / rr_k) pp_k for k <= i, so p_i.c =
+    2 rr_i C_i - rr_i + 2 (pp_i / rr_i) (B - B_i), with C_i and B_i the sums of
+    alpha_k pp_k / rr_k and alpha_k rr_k over k < i, and B the final B_i. B
+    enters linearly, so two accumulators u and v give the start u + B v with
+    no stored direction and no dot product (Erhel & Guyomarc'h, SIAM J. Matrix
+    Anal. Appl. 21(4), 2000).
     """
     n = h.shape[0]
     blocks = list(zip(bounds, bounds[1:]))
     n_blocks = len(blocks)
     indptr, indices, data = h.indptr, h.indices, h.data
 
-    x = np.zeros(n)
-    r = b.copy()
+    x = np.zeros(n) if x0 is None else x0.copy()
+    r = b.copy() if x0 is None else b - h @ x0
     p = r.copy()
     hp, tmp = np.empty(n), np.empty(n)
     xs = [x[lo:hi] for lo, hi in blocks]
@@ -129,19 +142,28 @@ def _conjugate_gradient_blocks(h: sp.csr_matrix, b: np.ndarray, bounds, cfg: CgC
     ps = [p[lo:hi] for lo, hi in blocks]
     hps = [hp[lo:hi] for lo, hi in blocks]
     rr = [float(v.dot(v)) for v in rs]
-    b_norm = [math.sqrt(v) for v in rr]   # np.linalg.norm's bits: sqrt(b @ b)
+    b_norm = [math.sqrt(float(b[lo:hi].dot(b[lo:hi]))) for lo, hi in blocks]
     budget = [max(1000, 10 * (hi - lo)) for lo, hi in blocks]
-    x_bound = [0.0] * n_blocks  # sum |alpha| ||p|| >= ||x||, by the triangle inequality
+    x_bound = [math.sqrt(float(v.dot(v))) for v in xs]  # ||x0|| + sum |alpha| ||p|| >= ||x||
     alphas, betas = [0.0] * n_blocks, [0.0] * n_blocks
+    coef_u, coef_v, sum_b, sum_c = ([0.0] * n_blocks for _ in range(4))
+    if galerkin is not None:
+        u, v = galerkin, np.zeros(n)
+        u.fill(0.0)
+        us, vs = [u[lo:hi] for lo, hi in blocks], [v[lo:hi] for lo, hi in blocks]
     out: list = [None] * n_blocks
 
     def retire(j, result):
         out[j] = result
-        alphas[j] = betas[j] = 0.0
+        alphas[j] = betas[j] = coef_u[j] = coef_v[j] = 0.0
         rs[j].fill(0.0)
         ps[j].fill(0.0)
         if isinstance(result, NonSpdError):
             xs[j].fill(0.0)
+        if galerkin is not None:
+            us[j] += sum_b[j] * vs[j]
+            if not (isinstance(result, CgStats) and result.converged and np.isfinite(us[j]).all()):
+                us[j].fill(0.0)
 
     def true_norm(j):
         # The block's rows of h @ x, as its solve alone would compute them.
@@ -152,8 +174,8 @@ def _conjugate_gradient_blocks(h: sp.csr_matrix, b: np.ndarray, bounds, cfg: CgC
         return math.sqrt(float(hx.dot(hx)))
 
     for j in range(n_blocks):
-        if b_norm[j] == 0.0:
-            retire(j, CgStats(0, 0.0, True))   # its rhs may hold -0.0
+        if b_norm[j] == 0.0 or rr[j] == 0.0:   # its rhs may hold -0.0; x0 may solve it
+            retire(j, CgStats(0, 0.0, True))
     active = [j for j in range(n_blocks) if out[j] is None]
     k = 0
     while active:
@@ -183,6 +205,15 @@ def _conjugate_gradient_blocks(h: sp.csr_matrix, b: np.ndarray, bounds, cfg: CgC
                     continue
                 alpha = alphas[j] = rr[j] / php
                 x_bound[j] += abs(alpha) * math.sqrt(pp)
+                if galerkin is not None:
+                    rr_j, q = rr[j], pp / rr[j]
+                    cu = (2.0 * rr_j * sum_c[j] - rr_j - 2.0 * q * sum_b[j]) / php
+                    cv = 2.0 * q / php
+                    # Far past any stop, where rr nears underflow, these overflow:
+                    # NaN then marks the block's start as lost, with no warning.
+                    coef_u[j], coef_v[j] = (cu, cv) if math.isfinite(cu + cv) else (math.nan,) * 2
+                    sum_c[j] += alpha * q
+                    sum_b[j] += alpha * rr_j
             # In place through tmp; each update rounds as x += alpha * p would.
             if not single:
                 alpha = np.repeat(np.array(alphas[first:stop]), sizes_s)
@@ -190,6 +221,11 @@ def _conjugate_gradient_blocks(h: sp.csr_matrix, b: np.ndarray, bounds, cfg: CgC
             x_s += tmp_s
             np.multiply(hp_s, alpha, tmp_s)
             r_s -= tmp_s
+            if galerkin is not None:
+                for acc, coef in ((u[lo:hi], coef_u), (v[lo:hi], coef_v)):
+                    np.multiply(p_s, coef[first] if single
+                                else np.repeat(np.array(coef[first:stop]), sizes_s), tmp_s)
+                    acc += tmp_s
             beta = 0.0
             for j in active:
                 if out[j] is not None:

@@ -1,8 +1,9 @@
 """Independent oracles and fixtures shared by the test modules.
 
-The dense and sparse-LU solves and the Monte Carlo walk simulator check the
-CG moments of `hitmix.moments.compute_moments` by routes that share no code
-with it; the breadth-first search checks `hitmix.graph.reachable_from`;
+The dense, sparse-LU and long-double tridiagonal solves and the Monte Carlo
+walk simulator check the CG moments of `hitmix.moments.compute_moments` by
+routes that share no code with it; the breadth-first search checks
+`hitmix.graph.reachable_from`;
 `reference_em_fit` is EM with its parameter step in NumPy arrays, which
 `hitmix.mixture.em_fit` must equal bit for bit; `reference_cg` is conjugate
 gradients that test ||x|| at every step, which
@@ -37,6 +38,15 @@ def path3():
     return load_edge_list(io.StringIO("0 1\n1 2")), SeedSet.from_members([2], 3)
 
 
+def barbell_graph(k, length):
+    """Two K_k joined by a path through `length` extra vertices."""
+    iu, ju = np.triu_indices(k, 1)
+    bridge = np.arange(k - 1, k + length + 1)
+    u = np.concatenate([iu, bridge[:-1], iu + k + length])
+    v = np.concatenate([ju, bridge[1:], ju + k + length])
+    return Graph.from_edges(2 * k + length, u, v)
+
+
 def random_connected(n, p, seed):
     """ER graph resampled until connected (single-block SBM)."""
     rng = np.random.default_rng(seed)
@@ -66,6 +76,42 @@ def splu_moments(graph, seeds):
     lu = splu(sp.csc_matrix(sp.identity(idx.size) - p_sub))
     m1 = lu.solve(np.ones(idx.size))
     m2 = lu.solve(1.0 + 2.0 * (p_sub @ m1))
+    return m1, m2 - m1 ** 2
+
+
+def tridiagonal_moments(graph, seeds):
+    """Mean and variance from long-double Thomas solves of the first-step
+    systems, for a graph whose I - P over seeds.complement is tridiagonal (a
+    path whose non-seed vertices are numbered along it)."""
+    idx = seeds.complement
+    a = graph.adjacency[idx][:, idx].tocsr()
+    deg = graph.degrees[idx].astype(np.longdouble)
+    lower = -a.diagonal(-1).astype(np.longdouble) / deg[1:]
+    diag = 1.0 - a.diagonal().astype(np.longdouble) / deg
+    upper = -a.diagonal(1).astype(np.longdouble) / deg[:-1]
+    assert a.nnz == np.count_nonzero(a.diagonal(-1)) + np.count_nonzero(a.diagonal()) \
+        + np.count_nonzero(a.diagonal(1)), "I - P is not tridiagonal"
+    n = idx.size
+    # Forward elimination once; each rhs is then one forward and one back pass.
+    d, w = diag.copy(), np.zeros(n, dtype=np.longdouble)
+    for i in range(1, n):
+        w[i] = lower[i - 1] / d[i - 1]
+        d[i] -= w[i] * upper[i - 1]
+
+    def solve(rhs):
+        y = rhs.astype(np.longdouble)
+        for i in range(1, n):
+            y[i] -= w[i] * y[i - 1]
+        y[-1] /= d[-1]
+        for i in range(n - 2, -1, -1):
+            y[i] = (y[i] - upper[i] * y[i + 1]) / d[i]
+        return y
+
+    m1 = solve(np.ones(n))
+    p_m1 = (1.0 - diag) * m1
+    p_m1[:-1] -= upper * m1[1:]
+    p_m1[1:] -= lower * m1[:-1]
+    m2 = solve(1.0 + 2.0 * p_m1)
     return m1, m2 - m1 ** 2
 
 

@@ -455,7 +455,7 @@ def _raise(exc):
     return fail
 
 
-def _unconverged_cg(h, b, bounds, cfg):
+def _unconverged_cg(h, b, bounds, cfg, **start):
     return np.zeros(b.size), [CgStats(7, 0.5, False)] * (len(bounds) - 1)
 
 

@@ -66,14 +66,14 @@ GRAPH_ARGS = ["--graph", "g.txt", "--seeds", "s.txt", "--out", "out.tsv"]
 
 CASES = {
     "moments_path200": (_path_200, ["moments", *GRAPH_ARGS], {
-        "out.tsv": "71af11799673c13db6262606d406b37bffef18126c06e87397af8eff28eadd8d",
+        "out.tsv": "df67ceae64613e2d9bcf77cb07575cdf5571bfb8e88659bac59f79a352e8f4c8",
     }),
     "moments_barbell": (_barbell, ["moments", *GRAPH_ARGS], {
-        "out.tsv": "971923f757cf130368cb9058123dd2cc62e84192a62ff7009b4ac6fd80c59b16",
+        "out.tsv": "7b10a4616327475ac0baa9afb5face20fb163d9f488e62ee3a008652dff65fe8",
     }),
     "expand_sbm": (_sbm_2x100, ["expand", *GRAPH_ARGS, "--clusters", "auto", "--seed", "5"], {
-        "out.tsv": "15b6bb0f307d36f85b12280dcba0688d4d9f06c59fc7b3d444a677aed2a46035",
-        "out.tsv.json": "75f901b16ddb0fd806a64312db99100c4b9d520741743c3cc37b12f64c2f7048",
+        "out.tsv": "c7988e7a1277c657398fbd99a4dae4e2131019465b9011b9ee418a26336fa4ad",
+        "out.tsv.json": "f80cc99024c234e201b7c110c57fc615917bf56aced875db8c273ac745c89d26",
     }),
     "sbm_sim": (_sbm_sim_config, ["sbm-sim", "--config", "sim.cfg", "--out", "sim"], {
         "sim/runs.csv": "5e3fa7299cd8b18c719d969fa67eebc696396d38520fa322decc026f0f91b075",

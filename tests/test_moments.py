@@ -10,8 +10,8 @@ from hitmix.graph import Graph, SeedSet, load_edge_list, reachable_from
 from hitmix.moments import MomentConvergenceError, compute_moments, compute_moments_batch
 from hitmix.sbm import SbmConfig, sample_hitting_set, sample_sbm
 from hitmix.solver import CgStats
-from oracles import (dense_moments, path3, random_connected,
-                     simulate_hitting_times, splu_moments)
+from oracles import (barbell_graph, dense_moments, path3, random_connected,
+                     simulate_hitting_times, splu_moments, tridiagonal_moments)
 
 
 def load(text):
@@ -89,15 +89,6 @@ def cycle_graph(n):
     return Graph.from_edges(n, np.arange(n), (np.arange(n) + 1) % n)
 
 
-def barbell_graph(k, length):
-    """Two K_k joined by a path through `length` extra vertices."""
-    iu, ju = np.triu_indices(k, 1)
-    bridge = np.arange(k - 1, k + length + 1)
-    u = np.concatenate([iu, bridge[:-1], iu + k + length])
-    v = np.concatenate([ju, bridge[1:], ju + k + length])
-    return Graph.from_edges(2 * k + length, u, v)
-
-
 def max_rel_err(x, ref):
     return np.abs(x - ref).max() / np.abs(ref).max()
 
@@ -111,6 +102,19 @@ class TestBadlyConditioned:
         t = compute_moments(path_graph(n), SeedSet.from_members([0], n))
         k = t.vertices.astype(float)
         assert max_rel_err(t.mean, k * (2 * (n - 1) - k)) <= tol
+
+    def test_path_16000_both_moments(self):
+        # Moment 2 from the Galerkin start of moment 1's Krylov space, which is
+        # the whole space here. From 0 it stalled just above the 16 eps floor
+        # and raised MomentConvergenceError after 10 n iterations.
+        n = 16000
+        g, seeds = path_graph(n), SeedSet.from_members([0], n)
+        t = compute_moments(g, seeds)
+        assert all(st.converged for st in t.cg_stats)
+        k = t.vertices.astype(float)
+        _, var = tridiagonal_moments(g, seeds)
+        assert max_rel_err(t.mean, k * (2 * (n - 1) - k)) <= 1e-6
+        assert max_rel_err(t.variance, var) <= 1e-6
 
     def test_cycle_closed_form(self):
         n = 1000
@@ -186,8 +190,8 @@ class TestComputeMomentsBatch:
         calls = []
         real_blocks = hitmix.moments._conjugate_gradient_blocks
 
-        def spy(h, b, bounds, cfg):
-            x, results = real_blocks(h, b, bounds, cfg)
+        def spy(h, b, bounds, cfg, **start):
+            x, results = real_blocks(h, b, bounds, cfg, **start)
             calls.append((b.copy(), list(bounds), results))
             return x, results
 

@@ -10,7 +10,7 @@ import oracles
 from hitmix.graph import Graph, SeedSet, load_edge_list, reachable_from
 from hitmix.moments import compute_moments, restricted_laplacian
 from hitmix.solver import CgConfig, CgStats, NonSpdError, _conjugate_gradient_blocks, conjugate_gradient
-from oracles import path3, random_connected, reference_cg
+from oracles import barbell_graph, path3, random_connected, reference_cg
 
 
 def laplacian(graph, seeds):
@@ -444,6 +444,103 @@ class TestBlocksEqualReferenceCg:
         assert results[1] == CgStats(0, 0.0, True)
         assert x.tobytes() == np.concatenate([conjugate_gradient(laplacian(*path3()),
                                                                  np.ones(2))[0]] * 2).tobytes()
+
+
+def galerkin_solve(h, b, cfg=None, bounds=None, x0=None):
+    """_conjugate_gradient_blocks with a Galerkin vector: x, results and it."""
+    galerkin = np.full(h.shape[0], np.nan)
+    x, results = _conjugate_gradient_blocks(h, b, bounds or [0, h.shape[0]], cfg or CgConfig(),
+                                            x0=x0, galerkin=galerkin)
+    return x, results, galerkin
+
+
+class TestStartAndGalerkin:
+    """Moment 2 starts from the Galerkin start that moment 1's solve leaves."""
+
+    def test_exact_start_stops_after_one_step(self):
+        # The residual is relative to ||b||, not to ||b - H x0||.
+        g = barbell_graph(50, 20)
+        h = restricted_laplacian(g, np.arange(1, g.n_vertices))
+        b = np.sqrt(g.degrees[1:])
+        x, _ = conjugate_gradient(h, b)
+        _, (stats,) = _conjugate_gradient_blocks(h, b, [0, b.size], CgConfig(), x0=x)
+        assert stats.iterations == 1 and stats.converged
+        assert stats.final_rel_residual <= 1e-10
+
+    def test_start_with_zero_residual_takes_no_step(self):
+        g = load_edge_list(io.StringIO("0 1\n0 2\n0 3"))
+        h = laplacian(g, SeedSet.from_members([0], 4))   # the identity
+        b = np.array([1.0, 2.0, -3.0])
+        x, (stats,) = _conjugate_gradient_blocks(h, b, [0, 3], CgConfig(), x0=b)
+        assert stats == CgStats(0, 0.0, True) and x.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("graph", [path(200), path(2000), oracles.random_connected(2, 1.0, 0),
+                                       Graph.from_edges(1000, np.arange(1000),
+                                                        (np.arange(1000) + 1) % 1000),
+                                       barbell_graph(50, 20), barbell_graph(20, 10)],
+                             ids=["path200", "path2000", "edge", "cycle1000", "barbell50-20",
+                                  "barbell20-10"])
+    def test_start_solves_moment_2_when_krylov_space_is_whole(self, graph):
+        # Moment 1 runs until its Krylov space is the whole space, so the
+        # Galerkin start solves H y = 2x - b up to the stop test (rel_tol, or
+        # the floor, which cycle1000 meets at 1.5e-10).
+        h = restricted_laplacian(graph, np.arange(1, graph.n_vertices))
+        b = np.sqrt(graph.degrees[1:])
+        x, (stats,), x0 = galerkin_solve(h, b)
+        assert stats.converged
+        b2 = 2.0 * x - b
+        assert oracles.reference_done(float(np.linalg.norm(b2 - h @ x0)), x0,
+                                      float(np.linalg.norm(b2)), CgConfig())
+        _, (stats,) = _conjugate_gradient_blocks(h, b2, [0, b.size], CgConfig(), x0=x0)
+        assert stats.converged and stats.iterations <= 1
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_blocks_equal_solves_alone(self, seed):
+        # Each block's x, stats and Galerkin vector are its solve's alone, bit
+        # for bit, beside blocks that break down or have a zero rhs; so are
+        # those of the moment-2 solves started from the Galerkin vector.
+        rng = np.random.default_rng(seed)
+        blocks = []
+        for i in range(5):
+            n = int(rng.integers(20, 200))
+            g = multigraph(rng, n)
+            a = g.adjacency.tocoo()
+            u, v = a.row[a.row <= a.col], a.col[a.row <= a.col]
+            if i == 2:   # a triangle that cannot reach the seed: a breakdown
+                g = Graph.from_edges(n + 3, np.append(u, [n, n + 1, n]), np.append(v, [n + 1, n + 2, n + 2]))
+            seeds = SeedSet.from_members([0], g.n_vertices)
+            keep = reachable_from(g, seeds) | (np.arange(g.n_vertices)[1:] >= n)
+            blocks.append((restricted_laplacian(g, seeds.complement[keep]),
+                           np.sqrt(g.degrees[seeds.complement[keep]])))
+        blocks[3] = (blocks[3][0], np.zeros(blocks[3][1].size))
+        h, starts = join_blocks([blk for blk, _ in blocks])
+        bounds = starts.tolist()
+        x, results, x0 = galerkin_solve(h, np.concatenate([b for _, b in blocks]), bounds=bounds)
+        b2 = 2.0 * x - np.concatenate([b for _, b in blocks])
+        b2[bounds[2]:bounds[4]] = 0.0
+        y, results2 = _conjugate_gradient_blocks(h, b2, bounds, CgConfig(), x0=x0)
+        assert isinstance(results[2], NonSpdError) and results[3] == CgStats(0, 0.0, True)
+        assert not x0[bounds[2]:bounds[4]].any()
+        for j, ((blk, b), lo, hi) in enumerate(zip(blocks, bounds, bounds[1:])):
+            x_j, (st,), x0_j = galerkin_solve(blk, b)
+            assert (x[lo:hi].tobytes(), x0[lo:hi].tobytes()) == (x_j.tobytes(), x0_j.tobytes())
+            assert repr(results[j]) == repr(st)
+            y_j, (st2,) = _conjugate_gradient_blocks(blk, b2[lo:hi], [0, hi - lo], CgConfig(),
+                                                     x0=x0_j)
+            assert y[lo:hi].tobytes() == y_j.tobytes() and results2[j] == st2
+            if j not in (2, 3):
+                assert st.converged and st2.converged and st2.iterations < st.iterations
+
+    def test_unconverged_block_gets_zero_start(self, monkeypatch):
+        # With no stop test met, CG runs on far past convergence, where rr
+        # underflows and the coefficients lose all meaning or overflow (path 10):
+        # a block that does not converge gets 0, with no RuntimeWarning.
+        monkeypatch.setattr(hitmix.solver, "_done", lambda *args: False)
+        for n in (3, 10, 100):
+            g = path(n)
+            h = restricted_laplacian(g, np.arange(1, n))
+            _, (stats,), x0 = galerkin_solve(h, np.sqrt(g.degrees[1:]))
+            assert not stats.converged and not x0.any()
 
 
 class TestCgConfig:

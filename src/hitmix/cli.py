@@ -57,12 +57,20 @@ def _tsv(header: str, *columns) -> str:
     return "\n".join([header, *(row % r for r in zip(*(c.tolist() for c in columns)))]) + "\n"
 
 
-def _named(source: str, parse, *args):
-    """parse(*args); a ValueError it raises names its source."""
+def _named(source: str, parse, *args, **kwargs):
+    """parse(*args, **kwargs); a ValueError it raises names its source."""
     try:
-        return parse(*args)
+        return parse(*args, **kwargs)
     except ValueError as exc:
         raise ValueError(f"{source}: {exc}") from None
+
+
+def _with_flags(cfg, flags: dict):
+    """cfg with flags {flag: (field, value)} applied, None values skipped; errors name the flag."""
+    for flag, (field, value) in flags.items():
+        if value is not None:
+            cfg = _named(flag, replace, cfg, **{field: value})
+    return cfg
 
 
 def _load(path: str, load, *args):
@@ -77,7 +85,7 @@ def _load_graph_and_seeds(args):
 
 
 def _cmd_moments(args) -> int:
-    cfg = CgConfig(rel_tol=args.cg_tol)
+    cfg = _named("--cg-tol", CgConfig, args.cg_tol)
     graph, seeds = _load_graph_and_seeds(args)
     t0 = time.perf_counter()
     table = compute_moments(graph, seeds, cfg)
@@ -95,13 +103,12 @@ def _parse_clusters(text: str) -> tuple[int, ...]:
 
 
 def _cmd_expand(args) -> int:
-    cfg = HitmixConfig(m=args.samples_per_vertex,
-                       g_candidates=_named("--clusters", _parse_clusters, args.clusters),
-                       tau=args.tau,
-                       em_max_iters=args.em_max_iters,
-                       em_rel_tol=args.em_tol,
-                       rng_seed=_resolve_seed(args.seed),
-                       cg=CgConfig(rel_tol=args.cg_tol))
+    cfg = _with_flags(HitmixConfig(), {
+        "--samples-per-vertex": ("m", args.samples_per_vertex),
+        "--clusters": ("g_candidates", _named("--clusters", _parse_clusters, args.clusters)),
+        "--tau": ("tau", args.tau), "--em-max-iters": ("em_max_iters", args.em_max_iters),
+        "--em-tol": ("em_rel_tol", args.em_tol), "--seed": ("rng_seed", _resolve_seed(args.seed)),
+        "--cg-tol": ("cg", _named("--cg-tol", CgConfig, args.cg_tol))})
     graph, seeds = _load_graph_and_seeds(args)
     t0 = time.perf_counter()
     result = hitmix(graph, seeds, cfg)
@@ -174,10 +181,10 @@ def _cmd_sbm_sim(args) -> int:
     kv = _load(args.config, _parse_kv_config, ("sweep", "values"),
                {**_SPEC_KEYS, **{k: p for k, (_, p) in _HITMIX_KEYS.items()}})
     spec = _named(args.config, _simulation_spec, kv)
-    # The flags take priority over the file; their errors name no file.
-    flags = {"seed": args.seed if "seed" in kv else _resolve_seed(args.seed),
-             "workers": args.workers}
-    spec = replace(spec, **{k: v for k, v in flags.items() if v is not None})
+    # The flags take priority over the file; their errors name the flag.
+    spec = _with_flags(spec, {
+        "--seed": ("seed", args.seed if "seed" in kv else _resolve_seed(args.seed)),
+        "--workers": ("workers", args.workers)})
     t0 = time.perf_counter()
     summary = run_simulation(spec)
     log.info("sbm-sim: %d conditions x %d runs in %.1fs",

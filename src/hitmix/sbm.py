@@ -80,8 +80,7 @@ def sample_sbm(cfg: SbmConfig, rng: np.random.Generator
             idx = _sample_bernoulli_indices(s * s, cfg.p_out, rng)
             us.append(idx // s + a * s)
             vs.append(idx % s + b * s)
-    u = np.concatenate(us) if us else np.empty(0, dtype=np.int64)
-    v = np.concatenate(vs) if vs else np.empty(0, dtype=np.int64)
+    u, v = np.concatenate(us), np.concatenate(vs)   # n_blocks >= 1: never empty
     labels = np.arange(cfg.n_vertices) // s
     return Graph.from_edges(cfg.n_vertices, u, v), labels
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.blas import daxpy, ddot, dscal
 from scipy.sparse._sparsetools import csr_matvec
 
 
@@ -97,6 +98,20 @@ def conjugate_gradient(h: sp.csr_matrix, b: np.ndarray,
     return x, one_or_raise(stats)
 
 
+# Every BLAS call of the kernel spans at most this many entries. OpenBLAS runs
+# level-1 calls below 10,000 entries on one thread, so a dot product sums in one
+# order at any thread count (and a threaded daxpy measured 360 times slower).
+_PIECE = 8192
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a.b: one ddot per piece of at most _PIECE entries from a's start, summed in order."""
+    s = 0.0
+    for i in range(0, a.size, _PIECE):
+        s += ddot(a[i:i + _PIECE], b[i:i + _PIECE])
+    return s
+
+
 def _conjugate_gradient_blocks(h: sp.csr_matrix, b: np.ndarray, bounds, cfg: CgConfig,
                                x0: np.ndarray | None = None, galerkin: np.ndarray | None = None
                                ) -> tuple[np.ndarray, list[CgStats | NonSpdError]]:
@@ -107,14 +122,15 @@ def _conjugate_gradient_blocks(h: sp.csr_matrix, b: np.ndarray, bounds, cfg: CgC
     Returns x over all rows and, per block, its CgStats or the NonSpdError of
     its breakdown (its rows of x are then 0).
 
-    The blocks run in lockstep: a step is one csr_matvec and one set of x, r and
-    p updates over the rows from the first to the last unfinished block, with
-    each block's alpha and beta spread over its rows. Everything that decides a
-    block's result is its own: alpha, beta, the breakdown and stop tests, its
-    budget of max(1000, 10 n_j) steps and its true residual, all from dot
-    products over its rows. So each block gets, bit for bit, the x and CgStats
-    of its solve alone. A finished block's r and p are zeroed, so between
-    unfinished blocks it rides along unchanged.
+    The blocks run in lockstep. A step is one csr_matvec over the rows from the
+    first to the last unfinished block, then, per unfinished block, its dot
+    products, alpha, the fused updates x += alpha p and r -= alpha Hp (one
+    daxpy each, rounded once per entry), r.r, the stop tests, beta and
+    p <- beta p + r (dscal then daxpy: the bits of p * beta + r). Every BLAS
+    call spans one piece of at most _PIECE rows cut from the block's own start,
+    and a dot product sums its pieces in order. So each block gets, bit for
+    bit, the x and CgStats of its solve alone, at any BLAS thread count; a
+    finished block only rides the matvec.
 
     With x0, each block starts from its rows of x0 (0 where b is 0); its
     residual stays relative to ||b|| and its ||x|| bound starts at ||x0||.
@@ -135,35 +151,31 @@ def _conjugate_gradient_blocks(h: sp.csr_matrix, b: np.ndarray, bounds, cfg: CgC
 
     x = np.zeros(n) if x0 is None else x0.copy()
     r = b.copy() if x0 is None else b - h @ x0
-    p = r.copy()
-    hp, tmp = np.empty(n), np.empty(n)
+    p, hp = r.copy(), np.empty(n)
+    u, v = np.zeros(n), np.zeros(n)   # the Galerkin accumulators
+    # Per block, per piece: its rows and its views of x, r, p, Hp, u and v.
+    pieces = [[(c - a, x[a:c], r[a:c], p[a:c], hp[a:c], u[a:c], v[a:c])
+               for a in range(lo, hi, _PIECE) for c in (min(a + _PIECE, hi),)]
+              for lo, hi in blocks]
     xs = [x[lo:hi] for lo, hi in blocks]
-    rs = [r[lo:hi] for lo, hi in blocks]
-    ps = [p[lo:hi] for lo, hi in blocks]
-    hps = [hp[lo:hi] for lo, hi in blocks]
-    rr = [float(v.dot(v)) for v in rs]
-    b_norm = [math.sqrt(float(b[lo:hi].dot(b[lo:hi]))) for lo, hi in blocks]
+    rr = [_dot(r[lo:hi], r[lo:hi]) for lo, hi in blocks]
+    b_norm = [math.sqrt(_dot(b[lo:hi], b[lo:hi])) for lo, hi in blocks]
     budget = [max(1000, 10 * (hi - lo)) for lo, hi in blocks]
-    x_bound = [math.sqrt(float(v.dot(v))) for v in xs]  # ||x0|| + sum |alpha| ||p|| >= ||x||
-    alphas, betas = [0.0] * n_blocks, [0.0] * n_blocks
-    coef_u, coef_v, sum_b, sum_c = ([0.0] * n_blocks for _ in range(4))
-    if galerkin is not None:
-        u, v = galerkin, np.zeros(n)
-        u.fill(0.0)
-        us, vs = [u[lo:hi] for lo, hi in blocks], [v[lo:hi] for lo, hi in blocks]
+    x_bound = [math.sqrt(_dot(x_j, x_j)) for x_j in xs]  # ||x0|| + sum |alpha| ||p|| >= ||x||
+    sum_b, sum_c = [0.0] * n_blocks, [0.0] * n_blocks
     out: list = [None] * n_blocks
 
     def retire(j, result):
-        out[j] = result
-        alphas[j] = betas[j] = coef_u[j] = coef_v[j] = 0.0
-        rs[j].fill(0.0)
-        ps[j].fill(0.0)
+        # Record a block's result, and end the run of the current span.
+        nonlocal running
+        out[j], running = result, False
         if isinstance(result, NonSpdError):
             xs[j].fill(0.0)
         if galerkin is not None:
-            us[j] += sum_b[j] * vs[j]
-            if not (isinstance(result, CgStats) and result.converged and np.isfinite(us[j]).all()):
-                us[j].fill(0.0)
+            lo, hi = blocks[j]
+            u_j = u[lo:hi] + sum_b[j] * v[lo:hi]
+            kept = isinstance(result, CgStats) and result.converged and np.isfinite(u_j).all()
+            galerkin[lo:hi] = u_j if kept else 0.0
 
     def true_norm(j):
         # The block's rows of h @ x, as its solve alone would compute them.
@@ -171,7 +183,7 @@ def _conjugate_gradient_blocks(h: sp.csr_matrix, b: np.ndarray, bounds, cfg: CgC
         hx = np.zeros(hi - lo)
         csr_matvec(hi - lo, n, indptr[lo:hi + 1], indices, data, x, hx)
         np.subtract(b[lo:hi], hx, hx)
-        return math.sqrt(float(hx.dot(hx)))
+        return math.sqrt(_dot(hx, hx))
 
     for j in range(n_blocks):
         if b_norm[j] == 0.0 or rr[j] == 0.0:   # its rhs may hold -0.0; x0 may solve it
@@ -179,90 +191,72 @@ def _conjugate_gradient_blocks(h: sp.csr_matrix, b: np.ndarray, bounds, cfg: CgC
     active = [j for j in range(n_blocks) if out[j] is None]
     k = 0
     while active:
-        # The rows of the unfinished blocks, and whether one block alone owns them.
-        first, stop = active[0], active[-1] + 1
-        lo, hi = bounds[first], bounds[stop]
-        single = len(active) == 1
-        x_s, r_s, p_s, hp_s, tmp_s = x[lo:hi], r[lo:hi], p[lo:hi], hp[lo:hi], tmp[lo:hi]
-        indptr_s = indptr[lo:hi + 1]
-        if not single:
-            sizes_s = np.diff(bounds[first:stop + 1])
-        changed = False
-        while not changed:
+        # The rows of the unfinished blocks, until one of them finishes.
+        lo, hi = bounds[active[0]], bounds[active[-1] + 1]
+        hp_s, indptr_s = hp[lo:hi], indptr[lo:hi + 1]
+        running = True
+        while running:
             k += 1
             # h @ p without scipy's dispatch and fresh zeros: the same kernel call.
             hp_s.fill(0.0)
             csr_matvec(hi - lo, n, indptr_s, indices, data, p, hp_s)
             for j in active:
-                p_j = ps[j]
-                php = float(p_j.dot(hps[j]))
-                pp = float(p_j.dot(p_j))
+                block = pieces[j]
+                php = pp = 0.0
+                for _, _, _, p_, hp_, _, _ in block:
+                    php += ddot(p_, hp_)
+                    pp += ddot(p_, p_)
                 # A vanishing Rayleigh quotient means p sits in a numerical nullspace
                 # (unreachable vertices make the operator singular).
                 if not math.isfinite(php) or php <= 1e-14 * pp:
                     retire(j, NonSpdError(_BREAKDOWN))
-                    alpha, changed = 0.0, True
                     continue
-                alpha = alphas[j] = rr[j] / php
+                rr_j = rr[j]
+                alpha = rr_j / php
                 x_bound[j] += abs(alpha) * math.sqrt(pp)
                 if galerkin is not None:
-                    rr_j, q = rr[j], pp / rr[j]
+                    q = pp / rr_j
                     cu = (2.0 * rr_j * sum_c[j] - rr_j - 2.0 * q * sum_b[j]) / php
                     cv = 2.0 * q / php
                     # Far past any stop, where rr nears underflow, these overflow:
                     # NaN then marks the block's start as lost, with no warning.
-                    coef_u[j], coef_v[j] = (cu, cv) if math.isfinite(cu + cv) else (math.nan,) * 2
+                    if not math.isfinite(cu + cv):
+                        cu = cv = math.nan
                     sum_c[j] += alpha * q
                     sum_b[j] += alpha * rr_j
-            # In place through tmp; each update rounds as x += alpha * p would.
-            if not single:
-                alpha = np.repeat(np.array(alphas[first:stop]), sizes_s)
-            np.multiply(p_s, alpha, tmp_s)
-            x_s += tmp_s
-            np.multiply(hp_s, alpha, tmp_s)
-            r_s -= tmp_s
-            if galerkin is not None:
-                for acc, coef in ((u[lo:hi], coef_u), (v[lo:hi], coef_v)):
-                    np.multiply(p_s, coef[first] if single
-                                else np.repeat(np.array(coef[first:stop]), sizes_s), tmp_s)
-                    acc += tmp_s
-            beta = 0.0
-            for j in active:
-                if out[j] is not None:
-                    continue
-                r_j, bn = rs[j], b_norm[j]
-                rr_new = float(r_j.dot(r_j))
+                rr_new = 0.0
+                for m, x_, r_, p_, hp_, u_, v_ in block:
+                    daxpy(p_, x_, m, alpha)
+                    daxpy(hp_, r_, m, -alpha)
+                    if galerkin is not None:
+                        daxpy(p_, u_, m, cu)
+                        daxpy(p_, v_, m, cv)
+                    rr_new += ddot(r_, r_)
                 if not math.isfinite(rr_new):
                     retire(j, NonSpdError("non-finite residual in conjugate gradient"))
-                    changed = True
                     continue
                 # The recursive residual drifts from the true one in finite
                 # precision, so it only triggers the check of the true residual.
                 # At exactly 0 it leaves no next direction (p = 0), so CG stops
                 # there either way. _done is monotone in ||x||, so twice the bound
-                # (room for rounding) rules a stop out without the x @ x that the
-                # floor test needs.
-                r_norm = math.sqrt(rr_new)
+                # (room for rounding) rules a stop out without x.x.
+                r_norm, bn = math.sqrt(rr_new), b_norm[j]
                 if rr_new == 0.0 or _done(r_norm, 2.0 * x_bound[j], bn, cfg):
-                    x_norm = math.sqrt(float(xs[j].dot(xs[j])))
-                    if _done(r_norm, x_norm, bn, cfg) or rr_new == 0.0:
+                    xn = math.sqrt(_dot(xs[j], xs[j]))
+                    if _done(r_norm, xn, bn, cfg) or rr_new == 0.0:
                         true = true_norm(j)
-                        converged = _done(true, x_norm, bn, cfg)
+                        converged = _done(true, xn, bn, cfg)
                         if converged or rr_new == 0.0:
                             retire(j, CgStats(k, true / bn, converged))
-                            changed = True
                             continue
                 if k == budget[j]:
-                    true = true_norm(j)
-                    converged = _done(true, math.sqrt(float(xs[j].dot(xs[j]))), bn, cfg)
-                    retire(j, CgStats(k, true / bn, converged))
-                    changed = True
+                    true, xn = true_norm(j), math.sqrt(_dot(xs[j], xs[j]))
+                    retire(j, CgStats(k, true / bn, _done(true, xn, bn, cfg)))
                     continue
-                beta = betas[j] = rr_new / rr[j]
+                beta = rr_new / rr_j
                 rr[j] = rr_new
-            if not single:
-                beta = np.repeat(np.array(betas[first:stop]), sizes_s)
-            np.multiply(p_s, beta, p_s)
-            p_s += r_s
+                for m, _, r_, p_, _, _, _ in block:
+                    dscal(beta, p_, m)
+                    daxpy(r_, p_, m, 1.0)
         active = [j for j in active if out[j] is None]
     return x, out

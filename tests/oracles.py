@@ -21,6 +21,7 @@ from dataclasses import replace
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.blas import daxpy
 from scipy.sparse.linalg import splu
 
 from hitmix.graph import Graph, SeedSet, load_edge_list, reachable_from
@@ -28,7 +29,7 @@ from hitmix.metrics import adjusted_rand_index, precision_recall_f1
 from hitmix.mixture import (EmCollapseError, HitmixConfig, LognormalParams,
                             MixtureFit, VertexSamples, hitmix)
 from hitmix.sbm import RunRecord, SbmConfig, SimulationSpec, sample_hitting_set, sample_sbm
-from hitmix.solver import _BACKWARD_ERROR_FLOOR, CgConfig, CgStats, HitmixError, NonSpdError
+from hitmix.solver import _BACKWARD_ERROR_FLOOR, _PIECE, CgConfig, CgStats, HitmixError, NonSpdError
 
 log = logging.getLogger("hitmix.sbm")
 
@@ -218,17 +219,32 @@ def reference_run(spec: SimulationSpec, cond_idx: int, run_idx: int) -> RunRecor
     return RunRecord(value, run_idx, ari, f1, False, unreachable, max_dec, row_err)
 
 
+def pieced_dot(a, b):
+    """a @ b over consecutive pieces of _PIECE entries, summed in order: the
+    order of the CG kernel's dot products (the bits of a @ b up to _PIECE)."""
+    s = 0.0
+    for i in range(0, a.size, _PIECE):
+        s += float(a[i:i + _PIECE] @ b[i:i + _PIECE])
+    return s
+
+
+def pieced_norm(a):
+    return math.sqrt(pieced_dot(a, a))
+
+
 def reference_done(r_norm, x, b_norm, cfg):
     """The stop test of reference_cg, which takes x itself."""
     return bool(r_norm / b_norm <= cfg.rel_tol or r_norm <= _BACKWARD_ERROR_FLOOR
-                * (2.0 * math.sqrt(float(x @ x)) + b_norm))
+                * (2.0 * pieced_norm(x) + b_norm))
 
 
 def reference_cg(h: sp.csr_matrix, b: np.ndarray,
                  cfg: CgConfig | None = None) -> tuple[np.ndarray, CgStats]:
     """conjugate_gradient that computes x @ x for its floor test at every
     step where the relative-residual test fails, checks finiteness with
-    np.isfinite and takes every dot product with @."""
+    np.isfinite and takes every dot product as pieced_dot. x and r take the
+    kernel's fused updates, each one daxpy over the whole vector (it rounds
+    each entry once, wherever the entry lies)."""
     if cfg is None:
         cfg = CgConfig()
     b = np.asarray(b, dtype=np.float64)
@@ -238,39 +254,39 @@ def reference_cg(h: sp.csr_matrix, b: np.ndarray,
     if not np.all(np.isfinite(b)):
         raise ValueError("rhs contains non-finite entries")
 
-    b_norm = float(np.linalg.norm(b))
+    b_norm = pieced_norm(b)
     if b_norm == 0.0:
         return np.zeros(n), CgStats(0, 0.0, True)
 
     x = np.zeros(n)
     r = b.copy()
     p = r.copy()
-    rr = float(r @ r)
+    rr = pieced_dot(r, r)
     max_iters = max(1000, 10 * n)
 
     for k in range(1, max_iters + 1):
         hp = h @ p
-        php = float(p @ hp)
-        if not np.isfinite(php) or php <= 1e-14 * float(p @ p):
+        php = pieced_dot(p, hp)
+        if not np.isfinite(php) or php <= 1e-14 * pieced_dot(p, p):
             raise NonSpdError(
                 "conjugate gradient broke down (non-positive or non-finite "
                 "curvature); the operator is not SPD. Filter unreachable "
                 "vertices using reachable_from")
         alpha = rr / php
-        x += alpha * p
-        r -= alpha * hp
-        rr_new = float(r @ r)
+        daxpy(p, x, a=alpha)
+        daxpy(hp, r, a=-alpha)
+        rr_new = pieced_dot(r, r)
         if not np.isfinite(rr_new):
             raise NonSpdError("non-finite residual in conjugate gradient")
         if reference_done(math.sqrt(rr_new), x, b_norm, cfg) or rr_new == 0.0:
-            true_norm = float(np.linalg.norm(b - h @ x))
+            true_norm = pieced_norm(b - h @ x)
             converged = reference_done(true_norm, x, b_norm, cfg)
             if converged or rr_new == 0.0:
                 return x, CgStats(k, true_norm / b_norm, converged)
         p = r + (rr_new / rr) * p
         rr = rr_new
 
-    true_norm = float(np.linalg.norm(b - h @ x))
+    true_norm = pieced_norm(b - h @ x)
     return x, CgStats(max_iters, true_norm / b_norm,
                       reference_done(true_norm, x, b_norm, cfg))
 

@@ -275,13 +275,21 @@ def test_sbm_sim_hitting_set_larger_than_block_fails_before_any_run(tmp_path, ca
 
 
 @pytest.mark.parametrize("command, bad, message", [
-    ("expand", ["--clusters", "2,2"], "g candidates must be one or more distinct integers >= 2"),
+    ("expand", ["--clusters", "2,2"],
+     "--clusters: g candidates must be one or more distinct integers >= 2"),
     ("sbm-sim", "clusters = 2,2", "CFG: g candidates must be one or more distinct integers >= 2"),
-    ("expand", ["--seed", "-1"], "rng_seed must be >= 0"),
+    ("expand", ["--seed", "-1"], "--seed: rng_seed must be >= 0"),
     ("sbm-sim", "seed = -1", "CFG: seed must be >= 0"),
-    ("sbm-sim", ["--seed", "-2"], "seed must be >= 0"),
-    ("moments", ["--cg-tol", "2"], "rel_tol must lie in (0, 1)"),
-], ids=["expand", "sbm-sim", "expand-seed", "sbm-sim-seed", "sbm-sim-seed-flag", "moments-cg-tol"])
+    ("sbm-sim", ["--seed", "-2"], "--seed: seed must be >= 0"),
+    ("sbm-sim", ["--workers", "0"], "--workers: workers must be >= 1"),
+    ("moments", ["--cg-tol", "2"], "--cg-tol: rel_tol must lie in (0, 1)"),
+    ("expand", ["--cg-tol", "0"], "--cg-tol: rel_tol must lie in (0, 1)"),
+    ("expand", ["--tau", "2"], "--tau: tau must lie in [0, 1]"),
+    ("expand", ["--samples-per-vertex", "0"], "--samples-per-vertex: m must be >= 1"),
+    ("expand", ["--em-max-iters", "0"], "--em-max-iters: em_max_iters must be >= 1"),
+], ids=["expand", "sbm-sim", "expand-seed", "sbm-sim-seed", "sbm-sim-seed-flag",
+        "sbm-sim-workers-flag", "moments-cg-tol", "expand-cg-tol", "expand-tau",
+        "expand-samples-per-vertex", "expand-em-max-iters"])
 def test_repeated_clusters_fail_before_any_solve(workdir, caplog, monkeypatch, command, bad,
                                                  message):
     # A bad setting, a config line or flags (the last of a repeated flag wins),
@@ -324,7 +332,7 @@ def test_bad_em_tol_fails_before_any_solve(workdir, caplog, monkeypatch, em_tol)
     assert run(["expand", "--graph", str(workdir / "g.txt"), "--seeds", str(workdir / "s.txt"),
                 "--clusters", "2", "--seed", "1", "--em-tol", em_tol, "--out", str(out)]) == 2
     assert [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR] \
-        == ["em_rel_tol must lie in [0, 1)"]
+        == ["--em-tol: em_rel_tol must lie in [0, 1)"]
     assert calls == []
     assert not out.exists()
 
@@ -427,8 +435,8 @@ def test_module_entry_point_runs_commands(tmp_path):
          f"{sim}: sweep must be one of {SWEEPS}"),
         (sbm_sim, (sim, head + "tau = 2\nseed = 1\n"), f"{sim}: tau must lie in [0, 1]"),
         (sbm_sim, (sim, head + "seed = -1\n"), f"{sim}: seed must be >= 0"),
-        (sbm_sim + ["--seed", "-2"], (sim, head), "seed must be >= 0"),
-        (expand + ["--seed", "-1"], None, "rng_seed must be >= 0"),
+        (sbm_sim + ["--seed", "-2"], (sim, head), "--seed: seed must be >= 0"),
+        (expand + ["--seed", "-1"], None, "--seed: rng_seed must be >= 0"),
         (sbm_sim, (sim, head + "foo\n"), f"{sim}: line 3: expected 'key = value'"),
         (sbm_sim, (sim, head + "block_sise = 30\n"), f"{sim}: line 3: unknown key 'block_sise'"),
         (evaluate, (tsv, "0\t1\n1\n"), f"{tsv}: line 2: expected 2 columns"),

@@ -69,11 +69,11 @@ CASES = {
         "out.tsv": "df67ceae64613e2d9bcf77cb07575cdf5571bfb8e88659bac59f79a352e8f4c8",
     }),
     "moments_barbell": (_barbell, ["moments", *GRAPH_ARGS], {
-        "out.tsv": "7b10a4616327475ac0baa9afb5face20fb163d9f488e62ee3a008652dff65fe8",
+        "out.tsv": "9ef4c431733b5b7a2ec015b058d0d53fb4f633f08ae453afdcfcae2440519210",
     }),
     "expand_sbm": (_sbm_2x100, ["expand", *GRAPH_ARGS, "--clusters", "auto", "--seed", "5"], {
-        "out.tsv": "c7988e7a1277c657398fbd99a4dae4e2131019465b9011b9ee418a26336fa4ad",
-        "out.tsv.json": "f80cc99024c234e201b7c110c57fc615917bf56aced875db8c273ac745c89d26",
+        "out.tsv": "f95c6d26e63af1c54707e1eec3e7ce85215dc40ade01a364f5d0880db9d55228",
+        "out.tsv.json": "871ab2818fe5f025a7bbae3acd171faee1ae175efa6308602b456b810f8cd796",
     }),
     "sbm_sim": (_sbm_sim_config, ["sbm-sim", "--config", "sim.cfg", "--out", "sim"], {
         "sim/runs.csv": "5e3fa7299cd8b18c719d969fa67eebc696396d38520fa322decc026f0f91b075",

@@ -1,5 +1,8 @@
 import io
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -129,6 +132,35 @@ class TestBadlyConditioned:
         mean, var = splu_moments(g, seeds)
         assert max_rel_err(t.mean, mean) <= 1e-8
         assert max_rel_err(t.variance, var) <= 1e-8
+
+
+# The moments of a graph with 11,995 reachable non-seed vertices: above the
+# 10,000 entries from which OpenBLAS splits a level-1 call over its threads.
+_THREADS_PROBE = """
+import hashlib
+import numpy as np
+from hitmix.graph import Graph, SeedSet
+from hitmix.moments import compute_moments
+rng = np.random.default_rng(0)
+n = 12000
+u, v = rng.integers(0, n, 3 * n), rng.integers(0, n, 3 * n)
+g = Graph.from_edges(n, np.append(u, np.arange(n - 1)), np.append(v, np.arange(1, n)))
+t = compute_moments(g, SeedSet.from_members(range(5), n))
+assert t.reachable.sum() == 11995
+print(hashlib.sha256(t.mean.tobytes() + t.variance.tobytes()).hexdigest(),
+      [s.iterations for s in t.cg_stats])
+"""
+
+
+def test_moments_do_not_depend_on_the_blas_thread_count():
+    src = os.path.dirname(os.path.dirname(hitmix.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    outs = [subprocess.run([sys.executable, "-c", _THREADS_PROBE],
+                           env=dict(env, OPENBLAS_NUM_THREADS=threads), capture_output=True,
+                           text=True, check=True, timeout=120).stdout
+            for threads in ("1", "2")]
+    assert outs[0] == outs[1]
 
 
 def sbm_instances(seed, p_ins):

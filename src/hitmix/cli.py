@@ -26,7 +26,10 @@ log = logging.getLogger("hitmix")
 def _atomic_write(path: str, text: str) -> None:
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".hitmix-tmp-")
+    umask = os.umask(0)
+    os.umask(umask)
     try:
+        os.fchmod(fd, 0o666 & ~umask)   # mkstemp's 0600 would outlive os.replace
         with os.fdopen(fd, "w") as f:
             f.write(text)
         os.replace(tmp, path)

@@ -85,10 +85,9 @@ def sample_sbm(cfg: SbmConfig, rng: np.random.Generator
     return Graph.from_edges(cfg.n_vertices, u, v), labels
 
 
-def sample_hitting_set(block_labels: np.ndarray, size: int,
-                       rng: np.random.Generator, goal_block: int = 0) -> SeedSet:
-    """Uniform sample without replacement from the goal block."""
-    block = np.flatnonzero(block_labels == goal_block)
+def sample_hitting_set(block_labels: np.ndarray, size: int, rng: np.random.Generator) -> SeedSet:
+    """Uniform sample without replacement from the goal block, block 0 as in the paper."""
+    block = np.flatnonzero(block_labels == 0)
     if size < 1 or size > block.size:
         raise ValueError(f"hitting set size must lie in [1, {block.size}]")
     members = rng.choice(block, size=size, replace=False)

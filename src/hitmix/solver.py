@@ -5,8 +5,8 @@ The matrix is H = I - D^{-1/2} A D^{-1/2} restricted to a vertex subset
 every subset vertex has a path to a vertex outside the subset (for us: to the
 seed set). The H of several graphs joined side by side
 (moments.compute_moments_batch) is block diagonal, one block per graph: the
-private kernel _conjugate_gradient_blocks solves all its blocks at once, each
-exactly as conjugate_gradient solves it alone.
+private kernel _conjugate_gradient_blocks solves its blocks one after another,
+each exactly as conjugate_gradient solves it alone.
 """
 
 from __future__ import annotations
@@ -115,22 +115,19 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
 def _conjugate_gradient_blocks(h: sp.csr_matrix, b: np.ndarray, bounds, cfg: CgConfig,
                                x0: np.ndarray | None = None, galerkin: np.ndarray | None = None
                                ) -> tuple[np.ndarray, list[CgStats | NonSpdError]]:
-    """conjugate_gradient on each diagonal block of a block-diagonal h at once,
+    """conjugate_gradient on each diagonal block of a block-diagonal h,
     unchecked: h is a square CSR matrix with no entry outside the blocks, b a
     finite float64 vector of its size, and block j spans rows and columns
     bounds[j]:bounds[j + 1], with bounds rising from 0 to the size of h.
     Returns x over all rows and, per block, its CgStats or the NonSpdError of
     its breakdown (its rows of x are then 0).
 
-    The blocks run in lockstep. A step is one csr_matvec over the rows from the
-    first to the last unfinished block, then, per unfinished block, its dot
-    products, alpha, the fused updates x += alpha p and r -= alpha Hp (one
-    daxpy each, rounded once per entry), r.r, the stop tests, beta and
-    p <- beta p + r (dscal then daxpy: the bits of p * beta + r). Every BLAS
-    call spans one piece of at most _PIECE rows cut from the block's own start,
-    and a dot product sums its pieces in order. So each block gets, bit for
-    bit, the x and CgStats of its solve alone, at any BLAS thread count; a
-    finished block only rides the matvec.
+    Each block in turn runs its own CG loop over its own rows: a step is one
+    csr_matvec, the fused updates x += alpha p and r -= alpha Hp (one daxpy
+    each, rounded once per entry) and p <- beta p + r (dscal then daxpy: the
+    bits of p * beta + r). Every BLAS call spans a piece of at most _PIECE rows
+    cut from the block's start, and a dot product sums its pieces in order, so
+    each block gets the bits of its solve alone at any BLAS thread count.
 
     With x0, each block starts from its rows of x0 (0 where b is 0); its
     residual stays relative to ||b|| and its ||x|| bound starts at ||x0||.
@@ -145,118 +142,87 @@ def _conjugate_gradient_blocks(h: sp.csr_matrix, b: np.ndarray, bounds, cfg: CgC
     Anal. Appl. 21(4), 2000).
     """
     n = h.shape[0]
-    blocks = list(zip(bounds, bounds[1:]))
-    n_blocks = len(blocks)
     indptr, indices, data = h.indptr, h.indices, h.data
-
     x = np.zeros(n) if x0 is None else x0.copy()
     r = b.copy() if x0 is None else b - h @ x0
     p, hp = r.copy(), np.empty(n)
     u, v = np.zeros(n), np.zeros(n)   # the Galerkin accumulators
-    # Per block, per piece: its rows and its views of x, r, p, Hp, u and v.
-    pieces = [[(c - a, x[a:c], r[a:c], p[a:c], hp[a:c], u[a:c], v[a:c])
-               for a in range(lo, hi, _PIECE) for c in (min(a + _PIECE, hi),)]
-              for lo, hi in blocks]
-    xs = [x[lo:hi] for lo, hi in blocks]
-    rr = [_dot(r[lo:hi], r[lo:hi]) for lo, hi in blocks]
-    b_norm = [math.sqrt(_dot(b[lo:hi], b[lo:hi])) for lo, hi in blocks]
-    budget = [max(1000, 10 * (hi - lo)) for lo, hi in blocks]
-    x_bound = [math.sqrt(_dot(x_j, x_j)) for x_j in xs]  # ||x0|| + sum |alpha| ||p|| >= ||x||
-    sum_b, sum_c = [0.0] * n_blocks, [0.0] * n_blocks
-    out: list = [None] * n_blocks
-
-    def retire(j, result):
-        # Record a block's result, and end the run of the current span.
-        nonlocal running
-        out[j], running = result, False
-        if isinstance(result, NonSpdError):
-            xs[j].fill(0.0)
-        if galerkin is not None:
-            lo, hi = blocks[j]
-            u_j = u[lo:hi] + sum_b[j] * v[lo:hi]
-            kept = isinstance(result, CgStats) and result.converged and np.isfinite(u_j).all()
-            galerkin[lo:hi] = u_j if kept else 0.0
-
-    def true_norm(j):
-        # The block's rows of h @ x, as its solve alone would compute them.
-        lo, hi = blocks[j]
-        hx = np.zeros(hi - lo)
-        csr_matvec(hi - lo, n, indptr[lo:hi + 1], indices, data, x, hx)
-        np.subtract(b[lo:hi], hx, hx)
-        return math.sqrt(_dot(hx, hx))
-
-    for j in range(n_blocks):
-        if b_norm[j] == 0.0 or rr[j] == 0.0:   # its rhs may hold -0.0; x0 may solve it
-            retire(j, CgStats(0, 0.0, True))
-    active = [j for j in range(n_blocks) if out[j] is None]
-    k = 0
-    while active:
-        # The rows of the unfinished blocks, until one of them finishes.
-        lo, hi = bounds[active[0]], bounds[active[-1] + 1]
-        hp_s, indptr_s = hp[lo:hi], indptr[lo:hi + 1]
-        running = True
-        while running:
+    out: list = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        # Per piece of the block: its rows and its views of x, r, p, Hp, u and v.
+        pieces = [(c - a, x[a:c], r[a:c], p[a:c], hp[a:c], u[a:c], v[a:c])
+                  for a in range(lo, hi, _PIECE) for c in (min(a + _PIECE, hi),)]
+        x_j, hp_j, indptr_j = x[lo:hi], hp[lo:hi], indptr[lo:hi + 1]
+        rr, b_norm = _dot(r[lo:hi], r[lo:hi]), math.sqrt(_dot(b[lo:hi], b[lo:hi]))
+        x_bound = math.sqrt(_dot(x_j, x_j))   # ||x0|| + sum |alpha| ||p|| >= ||x||
+        budget, sum_b, sum_c, k = max(1000, 10 * (hi - lo)), 0.0, 0.0, 0
+        result = None if b_norm and rr else CgStats(0, 0.0, True)   # b may hold -0.0
+        while result is None:
             k += 1
             # h @ p without scipy's dispatch and fresh zeros: the same kernel call.
-            hp_s.fill(0.0)
-            csr_matvec(hi - lo, n, indptr_s, indices, data, p, hp_s)
-            for j in active:
-                block = pieces[j]
-                php = pp = 0.0
-                for _, _, _, p_, hp_, _, _ in block:
-                    php += ddot(p_, hp_)
-                    pp += ddot(p_, p_)
-                # A vanishing Rayleigh quotient means p sits in a numerical nullspace
-                # (unreachable vertices make the operator singular).
-                if not math.isfinite(php) or php <= 1e-14 * pp:
-                    retire(j, NonSpdError(_BREAKDOWN))
-                    continue
-                rr_j = rr[j]
-                alpha = rr_j / php
-                x_bound[j] += abs(alpha) * math.sqrt(pp)
+            hp_j.fill(0.0)
+            csr_matvec(hi - lo, n, indptr_j, indices, data, p, hp_j)
+            php = pp = 0.0
+            for _, _, _, p_, hp_, _, _ in pieces:
+                php += ddot(p_, hp_)
+                pp += ddot(p_, p_)
+            # A vanishing Rayleigh quotient means p sits in a numerical nullspace
+            # (unreachable vertices make the operator singular).
+            if not math.isfinite(php) or php <= 1e-14 * pp:
+                result = NonSpdError(_BREAKDOWN)
+                break
+            alpha = rr / php
+            x_bound += abs(alpha) * math.sqrt(pp)
+            if galerkin is not None:
+                q = pp / rr
+                cu = (2.0 * rr * sum_c - rr - 2.0 * q * sum_b) / php
+                cv = 2.0 * q / php
+                # Far past any stop, where rr nears underflow, these overflow:
+                # NaN then marks the block's start as lost, with no warning.
+                if not math.isfinite(cu + cv):
+                    cu = cv = math.nan
+                sum_c += alpha * q
+                sum_b += alpha * rr
+            rr_new = 0.0
+            for m, x_, r_, p_, hp_, u_, v_ in pieces:
+                daxpy(p_, x_, m, alpha)
+                daxpy(hp_, r_, m, -alpha)
                 if galerkin is not None:
-                    q = pp / rr_j
-                    cu = (2.0 * rr_j * sum_c[j] - rr_j - 2.0 * q * sum_b[j]) / php
-                    cv = 2.0 * q / php
-                    # Far past any stop, where rr nears underflow, these overflow:
-                    # NaN then marks the block's start as lost, with no warning.
-                    if not math.isfinite(cu + cv):
-                        cu = cv = math.nan
-                    sum_c[j] += alpha * q
-                    sum_b[j] += alpha * rr_j
-                rr_new = 0.0
-                for m, x_, r_, p_, hp_, u_, v_ in block:
-                    daxpy(p_, x_, m, alpha)
-                    daxpy(hp_, r_, m, -alpha)
-                    if galerkin is not None:
-                        daxpy(p_, u_, m, cu)
-                        daxpy(p_, v_, m, cv)
-                    rr_new += ddot(r_, r_)
-                if not math.isfinite(rr_new):
-                    retire(j, NonSpdError("non-finite residual in conjugate gradient"))
-                    continue
-                # The recursive residual drifts from the true one in finite
-                # precision, so it only triggers the check of the true residual.
-                # At exactly 0 it leaves no next direction (p = 0), so CG stops
-                # there either way. _done is monotone in ||x||, so twice the bound
-                # (room for rounding) rules a stop out without x.x.
-                r_norm, bn = math.sqrt(rr_new), b_norm[j]
-                if rr_new == 0.0 or _done(r_norm, 2.0 * x_bound[j], bn, cfg):
-                    xn = math.sqrt(_dot(xs[j], xs[j]))
-                    if _done(r_norm, xn, bn, cfg) or rr_new == 0.0:
-                        true = true_norm(j)
-                        converged = _done(true, xn, bn, cfg)
-                        if converged or rr_new == 0.0:
-                            retire(j, CgStats(k, true / bn, converged))
-                            continue
-                if k == budget[j]:
-                    true, xn = true_norm(j), math.sqrt(_dot(xs[j], xs[j]))
-                    retire(j, CgStats(k, true / bn, _done(true, xn, bn, cfg)))
-                    continue
-                beta = rr_new / rr_j
-                rr[j] = rr_new
-                for m, _, r_, p_, _, _, _ in block:
-                    dscal(beta, p_, m)
-                    daxpy(r_, p_, m, 1.0)
-        active = [j for j in active if out[j] is None]
+                    daxpy(p_, u_, m, cu)
+                    daxpy(p_, v_, m, cv)
+                rr_new += ddot(r_, r_)
+            if not math.isfinite(rr_new):
+                result = NonSpdError("non-finite residual in conjugate gradient")
+                break
+            # The recursive residual drifts from the true one in finite
+            # precision, so it only triggers the check of the true residual. At
+            # exactly 0 it leaves no next direction (p = 0), and the budget
+            # leaves no next step, so CG stops there either way. _done is
+            # monotone in ||x||, so twice the bound (room for rounding) rules a
+            # stop out without x.x.
+            r_norm, last = math.sqrt(rr_new), rr_new == 0.0 or k == budget
+            if last or _done(r_norm, 2.0 * x_bound, b_norm, cfg):
+                xn = math.sqrt(_dot(x_j, x_j))
+                if _done(r_norm, xn, b_norm, cfg) or last:
+                    # The true residual, from the block's rows of h @ x.
+                    hx = np.zeros(hi - lo)
+                    csr_matvec(hi - lo, n, indptr_j, indices, data, x, hx)
+                    np.subtract(b[lo:hi], hx, hx)
+                    true = math.sqrt(_dot(hx, hx))
+                    converged = _done(true, xn, b_norm, cfg)
+                    if converged or last:
+                        result = CgStats(k, true / b_norm, converged)
+                        break
+            beta = rr_new / rr
+            rr = rr_new
+            for m, _, r_, p_, _, _, _ in pieces:
+                dscal(beta, p_, m)
+                daxpy(r_, p_, m, 1.0)
+        if isinstance(result, NonSpdError):
+            x_j.fill(0.0)
+        if galerkin is not None:
+            u_j = u[lo:hi] + sum_b * v[lo:hi]
+            kept = isinstance(result, CgStats) and result.converged and np.isfinite(u_j).all()
+            galerkin[lo:hi] = u_j if kept else 0.0
+        out.append(result)
     return x, out

@@ -56,6 +56,18 @@ def test_expand_deterministic(workdir):
     assert "bic_by_g" in sidecar and "components" in sidecar
 
 
+def test_expand_output_mode_follows_the_umask(workdir):
+    # Like a file that open() creates: 0666 less the umask, not mkstemp's 0600.
+    old = os.umask(0o022)
+    try:
+        assert run(["expand", "--graph", str(workdir / "g.txt"), "--seeds", str(workdir / "s.txt"),
+                    "--clusters", "2", "--seed", "7", "--out", str(workdir / "a.tsv")]) == 0
+    finally:
+        os.umask(old)
+    for name in ("a.tsv", "a.tsv.json"):
+        assert (workdir / name).stat().st_mode & 0o777 == 0o644
+
+
 def test_eval_identical_labels(tmp_path, capsys):
     labels = "0\t1\n1\t1\n2\t0\n3\t0\n"
     (tmp_path / "p.tsv").write_text(labels)

@@ -376,8 +376,8 @@ def assert_blocks_equal_reference(blocks, rhs, cfg=None, index_dtype=np.int32):
 
 
 class TestBlocksEqualReferenceCg:
-    """Every block of a lockstep solve is held to reference_cg bit for bit, however
-    the blocks around it converge."""
+    """Every block of a solve over joined blocks is held to reference_cg bit for
+    bit, however the blocks around it converge."""
 
     @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
     @pytest.mark.parametrize("rel_tol", [1e-6, 1e-10, 1e-15])
@@ -408,7 +408,8 @@ class TestBlocksEqualReferenceCg:
     def test_singular_block_fails_alone(self):
         # Every other block also holds a triangle that cannot reach the seed: it
         # breaks down with reference_cg's message, and the healthy blocks around
-        # it keep their bits.
+        # it keep their bits. With a Galerkin vector, it gets zero x and a zero
+        # start, and the healthy blocks keep the bytes of their solo solve.
         rng = np.random.default_rng(5)
         blocks = []
         for i in range(6):
@@ -421,9 +422,17 @@ class TestBlocksEqualReferenceCg:
             seeds = SeedSet.from_members([0], g.n_vertices)
             vertices = seeds.complement[g.degrees[seeds.complement] > 0]
             blocks.append(restricted_laplacian(g, vertices))
-        results = assert_blocks_equal_reference(blocks, [np.ones(blk.shape[0]) for blk in blocks])
+        rhs = [np.ones(blk.shape[0]) for blk in blocks]
+        results = assert_blocks_equal_reference(blocks, rhs)
         for i, st in enumerate(results):
             assert isinstance(st, NonSpdError) if i % 2 == 0 else st.converged
+        h, starts = join_blocks(blocks)
+        x, results, x0 = galerkin_solve(h, np.concatenate(rhs), bounds=starts.tolist())
+        for i, (blk, b, st, lo, hi) in enumerate(zip(blocks, rhs, results, starts, starts[1:])):
+            x_j, (st_j,), x0_j = galerkin_solve(blk, b)
+            assert (x[lo:hi].tobytes(), x0[lo:hi].tobytes()) == (x_j.tobytes(), x0_j.tobytes())
+            assert repr(st) == repr(st_j)
+            assert (x_j.any() and x0_j.any()) if i % 2 else not (x_j.any() or x0_j.any())
 
     def test_iteration_budget_per_block(self, monkeypatch):
         # With no stop test met, each block runs its own max(1000, 10 n_j).

@@ -13,7 +13,7 @@ import tempfile
 import time
 from dataclasses import replace
 
-from .graph import data_lines, edge_tokens, load_edge_list, load_seed_file
+from .graph import EdgeListParseError, data_lines, edge_tokens, load_edge_list, load_seed_file
 from .metrics import adjusted_rand_index, precision_recall_f1
 from .mixture import HitmixConfig, hitmix
 from .moments import compute_moments
@@ -236,9 +236,12 @@ def _cmd_relabel(args) -> int:
     mapping: dict[str, int] = {}
 
     def dense_lines(f) -> list[str]:
-        return ["%d %d" % tuple(mapping.setdefault(t, len(mapping))
-                                for t in edge_tokens(line_no, line))
-                for line_no, line in data_lines(f)]
+        lines = ["%d %d" % tuple(mapping.setdefault(t, len(mapping))
+                                 for t in edge_tokens(line_no, line))
+                 for line_no, line in data_lines(f)]
+        if not lines:
+            raise EdgeListParseError(0, "no edges in input")
+        return lines
 
     _atomic_write(args.out, "\n".join(_load(args.graph, dense_lines)) + "\n")
     map_lines = [f"{name}\t{vid}" for name, vid in mapping.items()]

@@ -75,18 +75,19 @@ class SeedSet:
 
     @classmethod
     def from_members(cls, members: Iterable[int], n_vertices: int) -> "SeedSet":
-        members = frozenset(int(m) for m in members)
-        if not members:
+        ids = [int(m) for m in members]
+        if not ids:
             raise ValueError("seed set must be non-empty")
-        if min(members) < 0 or max(members) >= n_vertices:
-            raise ValueError("seed id out of range")
+        if min(ids) < 0 or max(ids) >= n_vertices:
+            bad = next(m for m in ids if not 0 <= m < n_vertices)
+            raise ValueError(f"seed id {bad} out of range for {n_vertices} vertices")
         mask = np.ones(n_vertices, dtype=bool)
-        mask[list(members)] = False
+        mask[ids] = False
         complement = np.flatnonzero(mask)
         if complement.size == 0:
             raise ValueError("seed set must be a strict subset of the vertices")
         complement.flags.writeable = False
-        return cls(members, complement)
+        return cls(frozenset(ids), complement)
 
 
 # The largest id sets n, and a graph costs O(n) memory. An n beyond this many

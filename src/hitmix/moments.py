@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .graph import Graph, SeedSet, reachable_from
-from .solver import CgConfig, CgStats, HitmixError, _conjugate_gradient_blocks, one_or_raise
+from .solver import CgConfig, CgStats, HitmixError, _cg, one_or_raise
 
 # compute_moments_batch solves groups of about this many vertices on one union:
 # that saves scipy and CG per-call costs on small instances, but from 800
@@ -56,6 +56,13 @@ def restricted_laplacian(graph: Graph, vertices: np.ndarray) -> sp.csr_matrix:
     a.data *= np.repeat(inv_sqrt_deg, np.diff(a.indptr))
     a.data *= inv_sqrt_deg[a.indices]
     return sp.identity(vertices.size, format="csr") - a
+
+
+def _failure(order: int, stats: CgStats | HitmixError) -> HitmixError | None:
+    """The error of a moment solve that broke down or did not converge, else None."""
+    if isinstance(stats, HitmixError):
+        return stats
+    return None if stats.converged else MomentConvergenceError(order, stats)
 
 
 def compute_moments(graph: Graph, seeds: SeedSet,
@@ -100,11 +107,10 @@ def compute_moments_batch(instances: Iterable[tuple[Graph, SeedSet]], cfg: CgCon
     solved, and its graphs let go, once one more instance as large as its last
     would take it past _GROUP_VERTICES vertices, so equal instances of n
     vertices go max(1, _GROUP_VERTICES // n) to a group. A group is joined into
-    one block-diagonal graph: one reachable_from, one restricted_laplacian and,
-    per moment, one _conjugate_gradient_blocks serve it. Each instance's H is a
-    diagonal block of the joined one, entry for entry, and its solves are bit
-    for bit its own, so each table is what compute_moments gives alone. An
-    instance whose first solve fails has a zero rhs and start in the second.
+    one block-diagonal graph, so one reachable_from and one restricted_laplacian
+    serve it. Each instance's H is a diagonal block of the joined one, entry for
+    entry; its two moment solves run on that block alone (the second only if
+    the first converges), so each table is what compute_moments gives alone.
     """
     if cfg is None:
         cfg = CgConfig()
@@ -122,51 +128,36 @@ def _solve_group(instances: list[tuple[Graph, SeedSet]], cfg: CgConfig) -> list:
     """compute_moments_batch over one group, on its block-diagonal union."""
     graph, seeds, starts = _join(instances)
     reachable = reachable_from(graph, seeds)
-    masks = [reachable[lo:hi] for lo, hi in zip(starts, starts[1:])]
-    bounds = list(accumulate((int(np.count_nonzero(m)) for m in masks), initial=0))
-    out: list = [None if hi > lo else ValueError("no non-seed vertex can reach the seed set")
-                 for lo, hi in zip(bounds, bounds[1:])]
-    if bounds[-1] == 0:
-        return out
-
     vertices = seeds.complement[reachable]
     h = restricted_laplacian(graph, vertices)
     sqrt_deg = np.sqrt(graph.degrees[vertices])
-    stats: list[list[CgStats]] = [[] for _ in instances]
-
-    def solve(order: int, b: np.ndarray, **start) -> np.ndarray:
-        x_tilde, results = _conjugate_gradient_blocks(h, sqrt_deg * b, bounds, cfg, **start)
-        for i, st in enumerate(results):
-            if out[i] is not None:
-                continue
-            if isinstance(st, HitmixError):
-                out[i] = st
-            elif not st.converged:
-                out[i] = MomentConvergenceError(order, st)
-            else:
-                stats[i].append(st)
-        return x_tilde / sqrt_deg
-
-    # Moment 2's rhs, 2x - b in symmetrized coordinates, lies in moment 1's Krylov
-    # space; its Galerkin start there lands in x0 (0 where moment 1 fails).
-    x0 = np.empty(vertices.size)
-    et1 = solve(1, np.ones(vertices.size), galerkin=x0)
-    if all(o is not None for o in out):
-        return out
-    # (I - P) E T = 1 turns P E T into E T - 1, so this right-hand side
-    # 1 + 2 P E T needs no graph.
-    b2 = 1.0 + 2.0 * (et1 - 1.0)
-    for o, lo, hi in zip(out, bounds, bounds[1:]):
-        if o is not None:
-            b2[lo:hi] = 0.0
-    et2 = solve(2, b2, x0=x0)
-    # Tiny negatives from solver tolerance are clamped to zero.
-    var = np.maximum(et2 - et1 ** 2, 0.0)
-    for i, ((_, s), mask, lo, hi) in enumerate(zip(instances, masks, bounds, bounds[1:])):
-        if out[i] is None:
-            mean = np.full(s.complement.size, np.nan)
-            variance = np.full(s.complement.size, np.nan)
-            mean[mask] = et1[lo:hi]
-            variance[mask] = var[lo:hi]
-            out[i] = MomentTable(s.complement, mean, variance, mask, stats[i])
+    out, hi = [], 0
+    for (_, s), start, end in zip(instances, starts, starts[1:]):
+        mask = reachable[start:end]
+        lo, hi = hi, hi + int(np.count_nonzero(mask))
+        if lo == hi:
+            out.append(ValueError("no non-seed vertex can reach the seed set"))
+            continue
+        # The instance's block of H: its rows, with column ids shifted to 0..n-1.
+        indptr, d = h.indptr[lo:hi + 1], sqrt_deg[lo:hi]
+        h.indices[indptr[0]:indptr[-1]] -= lo
+        x1, x2 = np.zeros(hi - lo), np.empty(hi - lo)
+        # Moment 2's rhs, 2x - b in symmetrized coordinates, lies in moment 1's
+        # Krylov space; moment 2 starts from its Galerkin start there.
+        st1 = _cg(indptr, h.indices, h.data, d, x1, cfg, galerkin=x2)
+        error = _failure(1, st1)
+        if error is None:
+            et1 = x1 / d
+            # (I - P) E T = 1 turns P E T into E T - 1, so this right-hand side
+            # 1 + 2 P E T needs no graph.
+            st2 = _cg(indptr, h.indices, h.data, d * (1.0 + 2.0 * (et1 - 1.0)), x2, cfg)
+            error = _failure(2, st2)
+        if error is not None:
+            out.append(error)
+            continue
+        mean, variance = np.full((2, s.complement.size), np.nan)
+        mean[mask] = et1
+        # Tiny negatives from solver tolerance are clamped to zero.
+        variance[mask] = np.maximum(x2 / d - et1 ** 2, 0.0)
+        out.append(MomentTable(s.complement, mean, variance, mask, [st1, st2]))
     return out

@@ -3,10 +3,7 @@
 The matrix is H = I - D^{-1/2} A D^{-1/2} restricted to a vertex subset
 (moments.restricted_laplacian). It is symmetric, and positive definite whenever
 every subset vertex has a path to a vertex outside the subset (for us: to the
-seed set). The H of several graphs joined side by side
-(moments.compute_moments_batch) is block diagonal, one block per graph: the
-private kernel _conjugate_gradient_blocks solves its blocks one after another,
-each exactly as conjugate_gradient solves it alone.
+seed set).
 """
 
 from __future__ import annotations
@@ -74,9 +71,9 @@ _BREAKDOWN = ("conjugate gradient broke down (non-positive or non-finite curvatu
 
 def conjugate_gradient(h: sp.csr_matrix, b: np.ndarray,
                        cfg: CgConfig | None = None) -> tuple[np.ndarray, CgStats]:
-    """Solve h @ x = b with textbook (Hestenes-Stiefel) conjugate gradients: the
-    one-block call of _conjugate_gradient_blocks, after checking h and b. Raises
-    the NonSpdError that it returns for a breakdown.
+    """Solve h @ x = b with textbook (Hestenes-Stiefel) conjugate gradients: _cg
+    from 0, after checking h and b. Raises the NonSpdError that it returns for
+    a breakdown.
 
     Converged means the true residual is within cfg.rel_tol or at the
     double-precision floor; CgStats.final_rel_residual is the true relative
@@ -94,8 +91,8 @@ def conjugate_gradient(h: sp.csr_matrix, b: np.ndarray,
         raise ValueError(f"operator shape {h.shape} is not square")
     if not np.all(np.isfinite(b)):
         raise ValueError("rhs contains non-finite entries")
-    x, stats = _conjugate_gradient_blocks(h, b, (0, n), cfg)
-    return x, one_or_raise(stats)
+    x = np.zeros(n)
+    return x, one_or_raise([_cg(h.indptr, h.indices, h.data, b, x, cfg)])
 
 
 # Every BLAS call of the kernel spans at most this many entries. OpenBLAS runs
@@ -112,117 +109,107 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return s
 
 
-def _conjugate_gradient_blocks(h: sp.csr_matrix, b: np.ndarray, bounds, cfg: CgConfig,
-                               x0: np.ndarray | None = None, galerkin: np.ndarray | None = None
-                               ) -> tuple[np.ndarray, list[CgStats | NonSpdError]]:
-    """conjugate_gradient on each diagonal block of a block-diagonal h,
-    unchecked: h is a square CSR matrix with no entry outside the blocks, b a
-    finite float64 vector of its size, and block j spans rows and columns
-    bounds[j]:bounds[j + 1], with bounds rising from 0 to the size of h.
-    Returns x over all rows and, per block, its CgStats or the NonSpdError of
-    its breakdown (its rows of x are then 0).
+def _cg(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, b: np.ndarray,
+        x: np.ndarray, cfg: CgConfig, galerkin: np.ndarray | None = None
+        ) -> CgStats | NonSpdError:
+    """conjugate_gradient from x, unchecked: indptr, indices and data are the
+    CSR arrays of an n x n matrix H, n = b.size, whose column ids lie in
+    0..n-1 (indptr may be a slice of a longer array, and its offsets point
+    into indices and data), b is a finite float64 vector and x a float64
+    n-vector. The solve starts from x, with r = b - Hx (from 0, b's bits),
+    writes its result into x and returns its CgStats, or the NonSpdError of
+    its breakdown. Its residual is relative to ||b|| and its ||x|| bound
+    starts at ||x||.
 
-    Each block in turn runs its own CG loop over its own rows: a step is one
-    csr_matvec, the fused updates x += alpha p and r -= alpha Hp (one daxpy
-    each, rounded once per entry) and p <- beta p + r (dscal then daxpy: the
-    bits of p * beta + r). Every BLAS call spans a piece of at most _PIECE rows
-    cut from the block's start, and a dot product sums its pieces in order, so
-    each block gets the bits of its solve alone at any BLAS thread count.
+    A step is one csr_matvec, the fused updates x += alpha p and r -= alpha Hp
+    (one daxpy each, rounded once per entry) and p <- beta p + r (dscal then
+    daxpy: the bits of p * beta + r). Every BLAS call spans a piece of at most
+    _PIECE entries cut from the vector's start, and a dot product sums its
+    pieces in order, so the bits do not depend on the BLAS thread count.
 
-    With x0, each block starts from its rows of x0 (0 where b is 0); its
-    residual stays relative to ||b|| and its ||x|| bound starts at ||x0||.
-    With galerkin, an n-vector, a solve from 0 writes there, per converged
-    block (0 for the others), the Galerkin start sum_i p_i (p_i.c) / (p_i.Hp_i)
-    of H y = c = 2x - b over its directions p_i. In exact arithmetic
-    p_i.b = rr_i and p_k.p_i = (rr_i / rr_k) pp_k for k <= i, so p_i.c =
-    2 rr_i C_i - rr_i + 2 (pp_i / rr_i) (B - B_i), with C_i and B_i the sums of
-    alpha_k pp_k / rr_k and alpha_k rr_k over k < i, and B the final B_i. B
-    enters linearly, so two accumulators u and v give the start u + B v with
-    no stored direction and no dot product (Erhel & Guyomarc'h, SIAM J. Matrix
-    Anal. Appl. 21(4), 2000).
+    With galerkin, an n-vector, a solve from 0 writes there, if it converges
+    (else 0), the Galerkin start sum_i p_i (p_i.c) / (p_i.Hp_i) of H y = c =
+    2x - b over its directions p_i. In exact arithmetic p_i.b = rr_i and
+    p_k.p_i = (rr_i / rr_k) pp_k for k <= i, so p_i.c = 2 rr_i C_i - rr_i +
+    2 (pp_i / rr_i) (B - B_i), with C_i and B_i the sums of alpha_k pp_k / rr_k
+    and alpha_k rr_k over k < i, and B the final B_i. B enters linearly, so two
+    accumulators u and v give the start u + B v with no stored direction and no
+    dot product (Erhel & Guyomarc'h, SIAM J. Matrix Anal. Appl. 21(4), 2000).
     """
-    n = h.shape[0]
-    indptr, indices, data = h.indptr, h.indices, h.data
-    x = np.zeros(n) if x0 is None else x0.copy()
-    r = b.copy() if x0 is None else b - h @ x0
-    p, hp = r.copy(), np.empty(n)
-    u, v = np.zeros(n), np.zeros(n)   # the Galerkin accumulators
-    out: list = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        # Per piece of the block: its rows and its views of x, r, p, Hp, u and v.
-        pieces = [(c - a, x[a:c], r[a:c], p[a:c], hp[a:c], u[a:c], v[a:c])
-                  for a in range(lo, hi, _PIECE) for c in (min(a + _PIECE, hi),)]
-        x_j, hp_j, indptr_j = x[lo:hi], hp[lo:hi], indptr[lo:hi + 1]
-        rr, b_norm = _dot(r[lo:hi], r[lo:hi]), math.sqrt(_dot(b[lo:hi], b[lo:hi]))
-        x_bound = math.sqrt(_dot(x_j, x_j))   # ||x0|| + sum |alpha| ||p|| >= ||x||
-        budget, sum_b, sum_c, k = max(1000, 10 * (hi - lo)), 0.0, 0.0, 0
-        result = None if b_norm and rr else CgStats(0, 0.0, True)   # b may hold -0.0
-        while result is None:
-            k += 1
-            # h @ p without scipy's dispatch and fresh zeros: the same kernel call.
-            hp_j.fill(0.0)
-            csr_matvec(hi - lo, n, indptr_j, indices, data, p, hp_j)
-            php = pp = 0.0
-            for _, _, _, p_, hp_, _, _ in pieces:
-                php += ddot(p_, hp_)
-                pp += ddot(p_, p_)
-            # A vanishing Rayleigh quotient means p sits in a numerical nullspace
-            # (unreachable vertices make the operator singular).
-            if not math.isfinite(php) or php <= 1e-14 * pp:
-                result = NonSpdError(_BREAKDOWN)
-                break
-            alpha = rr / php
-            x_bound += abs(alpha) * math.sqrt(pp)
-            if galerkin is not None:
-                q = pp / rr
-                cu = (2.0 * rr * sum_c - rr - 2.0 * q * sum_b) / php
-                cv = 2.0 * q / php
-                # Far past any stop, where rr nears underflow, these overflow:
-                # NaN then marks the block's start as lost, with no warning.
-                if not math.isfinite(cu + cv):
-                    cu = cv = math.nan
-                sum_c += alpha * q
-                sum_b += alpha * rr
-            rr_new = 0.0
-            for m, x_, r_, p_, hp_, u_, v_ in pieces:
-                daxpy(p_, x_, m, alpha)
-                daxpy(hp_, r_, m, -alpha)
-                if galerkin is not None:
-                    daxpy(p_, u_, m, cu)
-                    daxpy(p_, v_, m, cv)
-                rr_new += ddot(r_, r_)
-            if not math.isfinite(rr_new):
-                result = NonSpdError("non-finite residual in conjugate gradient")
-                break
-            # The recursive residual drifts from the true one in finite
-            # precision, so it only triggers the check of the true residual. At
-            # exactly 0 it leaves no next direction (p = 0), and the budget
-            # leaves no next step, so CG stops there either way. _done is
-            # monotone in ||x||, so twice the bound (room for rounding) rules a
-            # stop out without x.x.
-            r_norm, last = math.sqrt(rr_new), rr_new == 0.0 or k == budget
-            if last or _done(r_norm, 2.0 * x_bound, b_norm, cfg):
-                xn = math.sqrt(_dot(x_j, x_j))
-                if _done(r_norm, xn, b_norm, cfg) or last:
-                    # The true residual, from the block's rows of h @ x.
-                    hx = np.zeros(hi - lo)
-                    csr_matvec(hi - lo, n, indptr_j, indices, data, x, hx)
-                    np.subtract(b[lo:hi], hx, hx)
-                    true = math.sqrt(_dot(hx, hx))
-                    converged = _done(true, xn, b_norm, cfg)
-                    if converged or last:
-                        result = CgStats(k, true / b_norm, converged)
-                        break
-            beta = rr_new / rr
-            rr = rr_new
-            for m, _, r_, p_, _, _, _ in pieces:
-                dscal(beta, p_, m)
-                daxpy(r_, p_, m, 1.0)
-        if isinstance(result, NonSpdError):
-            x_j.fill(0.0)
+    n = b.size
+    r, hp = np.zeros(n), np.empty(n)
+    csr_matvec(n, n, indptr, indices, data, x, r)
+    np.subtract(b, r, r)
+    p, u, v = r.copy(), np.zeros(n), np.zeros(n)   # u and v: the Galerkin accumulators
+    # Per piece: its length and its views of x, r, p, Hp, u and v.
+    pieces = [(c - a, x[a:c], r[a:c], p[a:c], hp[a:c], u[a:c], v[a:c])
+              for a in range(0, n, _PIECE) for c in (min(a + _PIECE, n),)]
+    rr, b_norm = _dot(r, r), math.sqrt(_dot(b, b))
+    x_bound = math.sqrt(_dot(x, x))   # ||start|| + sum |alpha| ||p|| >= ||x||
+    budget, sum_b, sum_c, k = max(1000, 10 * n), 0.0, 0.0, 0
+    result = None if b_norm and rr else CgStats(0, 0.0, True)   # b may hold -0.0
+    while result is None:
+        k += 1
+        # h @ p without scipy's dispatch and fresh zeros: the same kernel call.
+        hp.fill(0.0)
+        csr_matvec(n, n, indptr, indices, data, p, hp)
+        php = pp = 0.0
+        for _, _, _, p_, hp_, _, _ in pieces:
+            php += ddot(p_, hp_)
+            pp += ddot(p_, p_)
+        # A vanishing Rayleigh quotient means p sits in a numerical nullspace
+        # (unreachable vertices make the operator singular).
+        if not math.isfinite(php) or php <= 1e-14 * pp:
+            result = NonSpdError(_BREAKDOWN)
+            break
+        alpha = rr / php
+        x_bound += abs(alpha) * math.sqrt(pp)
         if galerkin is not None:
-            u_j = u[lo:hi] + sum_b * v[lo:hi]
-            kept = isinstance(result, CgStats) and result.converged and np.isfinite(u_j).all()
-            galerkin[lo:hi] = u_j if kept else 0.0
-        out.append(result)
-    return x, out
+            q = pp / rr
+            cu = (2.0 * rr * sum_c - rr - 2.0 * q * sum_b) / php
+            cv = 2.0 * q / php
+            # Far past any stop, where rr nears underflow, these overflow:
+            # NaN then marks the start as lost, with no warning.
+            if not math.isfinite(cu + cv):
+                cu = cv = math.nan
+            sum_c += alpha * q
+            sum_b += alpha * rr
+        rr_new = 0.0
+        for m, x_, r_, p_, hp_, u_, v_ in pieces:
+            daxpy(p_, x_, m, alpha)
+            daxpy(hp_, r_, m, -alpha)
+            if galerkin is not None:
+                daxpy(p_, u_, m, cu)
+                daxpy(p_, v_, m, cv)
+            rr_new += ddot(r_, r_)
+        if not math.isfinite(rr_new):
+            result = NonSpdError("non-finite residual in conjugate gradient")
+            break
+        # The recursive residual drifts from the true one in finite
+        # precision, so it only triggers the check of the true residual. At
+        # exactly 0 it leaves no next direction (p = 0), and the budget
+        # leaves no next step, so CG stops there either way. _done is
+        # monotone in ||x||, so twice the bound (room for rounding) rules a
+        # stop out without x.x.
+        r_norm, last = math.sqrt(rr_new), rr_new == 0.0 or k == budget
+        if last or _done(r_norm, 2.0 * x_bound, b_norm, cfg):
+            xn = math.sqrt(_dot(x, x))
+            if _done(r_norm, xn, b_norm, cfg) or last:
+                hx = np.zeros(n)   # the true residual, b - Hx
+                csr_matvec(n, n, indptr, indices, data, x, hx)
+                np.subtract(b, hx, hx)
+                true = math.sqrt(_dot(hx, hx))
+                converged = _done(true, xn, b_norm, cfg)
+                if converged or last:
+                    result = CgStats(k, true / b_norm, converged)
+                    break
+        beta = rr_new / rr
+        rr = rr_new
+        for m, _, r_, p_, _, _, _ in pieces:
+            dscal(beta, p_, m)
+            daxpy(r_, p_, m, 1.0)
+    if galerkin is not None:
+        start = u + sum_b * v
+        kept = isinstance(result, CgStats) and result.converged and np.isfinite(start).all()
+        galerkin[:] = start if kept else 0.0
+    return result

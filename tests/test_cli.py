@@ -112,10 +112,24 @@ def test_relabel_and_load_share_the_token_message(tmp_path, caplog):
     assert not (tmp_path / "dense.txt").exists()
 
 
+@pytest.mark.parametrize("text", ["", "# names only\n\n"], ids=["empty", "comments"])
+def test_relabel_without_edges_fails_like_load(tmp_path, caplog, text):
+    (tmp_path / "named.txt").write_text(text)
+    with pytest.raises(EdgeListParseError) as loaded:
+        load_edge_list(io.StringIO(text))
+    assert run(["relabel", "--graph", str(tmp_path / "named.txt"),
+                "--out", str(tmp_path / "dense.txt")]) == 2
+    assert str(loaded.value) == "line 0: no edges in input"
+    assert [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR] \
+        == [f"{tmp_path / 'named.txt'}: {loaded.value}"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["named.txt"]
+
+
 @pytest.mark.parametrize("bad, text, message", [
     ("g.txt", "0 1\n1 2\n2 x\n", "line 3: non-integer vertex id in ['2', 'x']"),
     ("s.txt", "2\nzz\n", "line 2: non-integer seed id 'zz'"),
-], ids=["graph", "seeds"])
+    ("s.txt", "2\n9\n", "seed id 9 out of range for 3 vertices"),
+], ids=["graph", "seeds", "seed-range"])
 def test_parse_error_names_its_file(workdir, caplog, bad, text, message):
     (workdir / bad).write_text(text)
     assert run(["moments", "--graph", str(workdir / "g.txt"), "--seeds",
@@ -475,8 +489,12 @@ def _raise(exc):
     return fail
 
 
-def _unconverged_cg(h, b, bounds, cfg, **start):
-    return np.zeros(b.size), [CgStats(7, 0.5, False)] * (len(bounds) - 1)
+def _unconverged_cg(indptr, indices, data, b, x, cfg, galerkin=None):
+    return CgStats(7, 0.5, False)
+
+
+def _non_spd_cg(indptr, indices, data, b, x, cfg, galerkin=None):
+    return NonSpdError("operator is not SPD")
 
 
 def _collapsed_fits(samples, g, cfg, work):
@@ -484,9 +502,8 @@ def _collapsed_fits(samples, g, cfg, work):
 
 
 @pytest.mark.parametrize("command, target, replacement, message", [
-    ("moments", (hitmix.moments, "_conjugate_gradient_blocks"),
-     _raise(NonSpdError("operator is not SPD")), "NonSpdError: operator is not SPD"),
-    ("moments", (hitmix.moments, "_conjugate_gradient_blocks"), _unconverged_cg,
+    ("moments", (hitmix.moments, "_cg"), _non_spd_cg, "NonSpdError: operator is not SPD"),
+    ("moments", (hitmix.moments, "_cg"), _unconverged_cg,
      "MomentConvergenceError: CG failed to converge for moment 1: "
      "rel residual 5.000e-01 after 7 iters"),
     ("expand", (hitmix.mixture, "_em_fit_batch"), _collapsed_fits,

@@ -211,8 +211,13 @@ class TestSeedSet:
             SeedSet.from_members([0, 1, 2], 3)
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^seed id 5 out of range for 3 vertices$"):
             SeedSet.from_members([5], 3)
+        # The first bad id in input order, past a good one.
+        with pytest.raises(ValueError, match="^seed id 9 out of range for 5 vertices$"):
+            SeedSet.from_members([1, 9, -1], 5)
+        with pytest.raises(ValueError, match="^seed id -1 out of range for 5 vertices$"):
+            SeedSet.from_members([1, -1, 9], 5)
 
 
 class TestReachability:

@@ -12,7 +12,7 @@ import hitmix.solver
 from hitmix.graph import Graph, SeedSet, load_edge_list, reachable_from
 from hitmix.moments import MomentConvergenceError, compute_moments, compute_moments_batch
 from hitmix.sbm import SbmConfig, sample_hitting_set, sample_sbm
-from hitmix.solver import CgStats
+from hitmix.solver import NonSpdError
 from oracles import (barbell_graph, dense_moments, path3, random_connected,
                      simulate_hitting_times, splu_moments, tridiagonal_moments)
 
@@ -211,7 +211,7 @@ class TestComputeMomentsBatch:
 
     def test_instance_failing_moment_1_skips_moment_2(self, monkeypatch):
         # The stop test never passes on the moment-1 rhs of instance 1, so its
-        # first solve ends unconverged; the second solve gives it a zero rhs.
+        # first solve ends unconverged, and it gets no second solve.
         instances = sbm_instances(7, [0.3, 0.25, 0.2])
         g, seeds = instances[1]
         vertices = seeds.complement[reachable_from(g, seeds)]
@@ -219,24 +219,71 @@ class TestComputeMomentsBatch:
         real_done = hitmix.solver._done
         monkeypatch.setattr(hitmix.solver, "_done",
                             lambda r, x, b, cfg: b != target and real_done(r, x, b, cfg))
-        calls = []
-        real_blocks = hitmix.moments._conjugate_gradient_blocks
+        sizes = []
+        real_cg = hitmix.moments._cg
 
-        def spy(h, b, bounds, cfg, **start):
-            x, results = real_blocks(h, b, bounds, cfg, **start)
-            calls.append((b.copy(), list(bounds), results))
-            return x, results
+        def spy(indptr, indices, data, b, x, cfg, **galerkin):
+            sizes.append(b.size)
+            return real_cg(indptr, indices, data, b, x, cfg, **galerkin)
 
-        monkeypatch.setattr(hitmix.moments, "_conjugate_gradient_blocks", spy)
+        monkeypatch.setattr(hitmix.moments, "_cg", spy)
         got = compute_moments_batch(instances)
+        # Two solves per instance with a table, one for instance 1, none for
+        # instance 3, which reaches no vertex.
+        n = [int(t.reachable.sum()) for t in (got[0], got[2], got[4])]
+        assert sizes == [n[0], n[0], vertices.size, n[1], n[1], n[2], n[2]]
         assert type(got[1]) is MomentConvergenceError and got[1].moment_order == 1
         with pytest.raises(MomentConvergenceError, match=f"^{re.escape(str(got[1]))}$"):
             compute_moments(g, seeds)
-        rhs, bounds, results = calls[1]
-        assert not rhs[bounds[1]:bounds[2]].any() and results[1] == CgStats(0, 0.0, True)
         for i in (0, 2, 4):
             assert_tables_equal(got[i], compute_moments(*instances[i]))
         assert type(got[3]) is ValueError
+
+    def test_blocks_longer_than_a_piece(self, monkeypatch):
+        # Instances of _PIECE + 1 and 2 _PIECE + 3 reachable vertices at
+        # non-zero offsets in one group, beside small ones: each table is the
+        # one the instance gets alone.
+        monkeypatch.setattr(hitmix.moments, "_GROUP_VERTICES", 10 ** 6)
+        rng = np.random.default_rng(0)
+        instances = []
+        for n in (40, hitmix.solver._PIECE + 1, 7, 2 * hitmix.solver._PIECE + 3, 25):
+            # A path through n + 1 vertices, with 2 n random chords.
+            u, v = rng.integers(0, n + 1, 2 * n), rng.integers(0, n + 1, 2 * n)
+            g = Graph.from_edges(n + 1, np.append(u, np.arange(n)), np.append(v, np.arange(1, n + 1)))
+            instances.append((g, SeedSet.from_members([0], n + 1)))
+        got = compute_moments_batch(instances)
+        for (g, seeds), table in zip(instances, got):
+            assert table.reachable.all()
+            assert_tables_equal(table, compute_moments(g, seeds))
+
+    def test_breakdown_beside_healthy_instances(self, monkeypatch):
+        # With reachability taken as "has an edge", every other instance keeps
+        # a triangle that cannot reach its seed, and its moment-1 solve breaks
+        # down. It gets compute_moments' NonSpdError alone, and the healthy
+        # instances in its group keep their tables' bytes.
+        def has_edge(graph, seeds):
+            mask = graph.degrees[seeds.complement] > 0
+            mask.flags.writeable = False
+            return mask
+
+        monkeypatch.setattr(hitmix.moments, "reachable_from", has_edge)
+        rng = np.random.default_rng(5)
+        instances = []
+        for i in range(6):
+            n = int(rng.integers(20, 200))
+            u, v = rng.integers(0, n, 2 * n), rng.integers(0, n, 2 * n)
+            u, v = np.append(u, np.arange(n - 1)), np.append(v, np.arange(1, n))
+            if i % 2 == 0:
+                u, v, n = np.append(u, [n, n + 1, n]), np.append(v, [n + 1, n + 2, n + 2]), n + 3
+            instances.append((Graph.from_edges(n, u, v), SeedSet.from_members([0], n)))
+        got = compute_moments_batch(instances)
+        for i, ((g, seeds), table) in enumerate(zip(instances, got)):
+            if i % 2 == 0:
+                assert type(table) is NonSpdError
+                with pytest.raises(NonSpdError, match=f"^{re.escape(str(table))}$"):
+                    compute_moments(g, seeds)
+            else:
+                assert_tables_equal(table, compute_moments(g, seeds))
 
     def test_reads_one_group_at_a_time(self, monkeypatch):
         # Instances of 80, 80 | 80, 80 | 80, 30 and 60 vertices in groups of at

@@ -9,8 +9,7 @@ import hitmix.solver
 import oracles
 from hitmix.graph import Graph, SeedSet, load_edge_list, reachable_from
 from hitmix.moments import compute_moments, restricted_laplacian
-from hitmix.solver import (_PIECE, CgConfig, CgStats, NonSpdError, _conjugate_gradient_blocks,
-                           conjugate_gradient)
+from hitmix.solver import _PIECE, CgConfig, CgStats, NonSpdError, _cg, conjugate_gradient
 from oracles import barbell_graph, path3, random_connected, reference_cg
 
 
@@ -340,34 +339,39 @@ class TestEqualsReferenceCg:
         assert stats.iterations == 1000 and not stats.converged
 
 
+def csr_arrays(h):
+    return h.indptr, h.indices, h.data
+
+
 def join_blocks(blocks, index_dtype=np.int32):
-    """The block-diagonal CSR matrix of the blocks: their CSR arrays joined, with
-    the entries of each row in the block's order, and where each block starts."""
+    """The blocks' CSR arrays joined, as moments._solve_group leaves a union's
+    H: each block's rows in turn, with the entries of each row in the block's
+    order and its own column ids (0..n_j - 1). Returns, per block, its slice of
+    indptr, which points into the joined indices and data, and those two."""
     starts = np.cumsum([0] + [blk.shape[0] for blk in blocks])
     nnz = np.cumsum([0] + [blk.nnz for blk in blocks])
     indptr = np.concatenate([blk.indptr[:-1] + z for blk, z in zip(blocks, nnz)] + [nnz[-1:]])
-    indices = np.concatenate([blk.indices + s for blk, s in zip(blocks, starts)])
-    h = sp.csr_matrix((np.concatenate([blk.data for blk in blocks]), indices, indptr),
-                      shape=(starts[-1], starts[-1]))
-    h.indices, h.indptr = h.indices.astype(index_dtype), h.indptr.astype(index_dtype)
-    return h, starts
+    indptr = indptr.astype(index_dtype)
+    indices = np.concatenate([blk.indices for blk in blocks]).astype(index_dtype)
+    data = np.concatenate([blk.data for blk in blocks])
+    return [(indptr[lo:hi + 1], indices, data) for lo, hi in zip(starts, starts[1:])]
 
 
 def assert_blocks_equal_reference(blocks, rhs, cfg=None, index_dtype=np.int32):
-    """One _conjugate_gradient_blocks solve over the joined blocks gives each
-    block reference_cg's x bytes and stats, or its NonSpdError message."""
-    h, starts = join_blocks(blocks, index_dtype)
-    assert h.indices.dtype == index_dtype
-    x, results = _conjugate_gradient_blocks(h, np.concatenate(rhs), starts.tolist(),
-                                            cfg or CgConfig())
-    assert len(results) == len(blocks)
-    for blk, b, got, lo, hi in zip(blocks, rhs, results, starts, starts[1:]):
+    """_cg on each block's slice of the joined arrays gives reference_cg's x
+    bytes and stats, or its NonSpdError message. Returns the results."""
+    results = []
+    for blk, b, arrays in zip(blocks, rhs, join_blocks(blocks, index_dtype)):
+        assert arrays[0].dtype == arrays[1].dtype == index_dtype
+        x = np.zeros(b.size)
+        got = _cg(*arrays, b, x, cfg or CgConfig())
+        results.append(got)
         try:
             want_x, want = reference_cg(blk, b, cfg)
         except NonSpdError as exc:
             assert isinstance(got, NonSpdError) and str(got) == str(exc)
             continue
-        assert x[lo:hi].tobytes() == want_x.tobytes()
+        assert x.tobytes() == want_x.tobytes()
         assert got.iterations == want.iterations
         assert np.float64(got.final_rel_residual).tobytes() == \
             np.float64(want.final_rel_residual).tobytes()
@@ -376,8 +380,8 @@ def assert_blocks_equal_reference(blocks, rhs, cfg=None, index_dtype=np.int32):
 
 
 class TestBlocksEqualReferenceCg:
-    """Every block of a solve over joined blocks is held to reference_cg bit for
-    bit, however the blocks around it converge."""
+    """_cg on one block of a union's CSR arrays, through an indptr slice at an
+    offset, is held to reference_cg bit for bit."""
 
     @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
     @pytest.mark.parametrize("rel_tol", [1e-6, 1e-10, 1e-15])
@@ -407,9 +411,9 @@ class TestBlocksEqualReferenceCg:
 
     def test_singular_block_fails_alone(self):
         # Every other block also holds a triangle that cannot reach the seed: it
-        # breaks down with reference_cg's message, and the healthy blocks around
-        # it keep their bits. With a Galerkin vector, it gets zero x and a zero
-        # start, and the healthy blocks keep the bytes of their solo solve.
+        # breaks down with reference_cg's message. With a Galerkin vector it
+        # gets a zero start, and the healthy blocks get the bytes of their
+        # solve on their own arrays.
         rng = np.random.default_rng(5)
         blocks = []
         for i in range(6):
@@ -424,15 +428,12 @@ class TestBlocksEqualReferenceCg:
             blocks.append(restricted_laplacian(g, vertices))
         rhs = [np.ones(blk.shape[0]) for blk in blocks]
         results = assert_blocks_equal_reference(blocks, rhs)
-        for i, st in enumerate(results):
+        for i, (blk, b, st, arrays) in enumerate(zip(blocks, rhs, results, join_blocks(blocks))):
             assert isinstance(st, NonSpdError) if i % 2 == 0 else st.converged
-        h, starts = join_blocks(blocks)
-        x, results, x0 = galerkin_solve(h, np.concatenate(rhs), bounds=starts.tolist())
-        for i, (blk, b, st, lo, hi) in enumerate(zip(blocks, rhs, results, starts, starts[1:])):
-            x_j, (st_j,), x0_j = galerkin_solve(blk, b)
-            assert (x[lo:hi].tobytes(), x0[lo:hi].tobytes()) == (x_j.tobytes(), x0_j.tobytes())
-            assert repr(st) == repr(st_j)
-            assert (x_j.any() and x0_j.any()) if i % 2 else not (x_j.any() or x0_j.any())
+            x, st, x0 = galerkin_solve(arrays, b)
+            x_j, st_j, x0_j = galerkin_solve(csr_arrays(blk), b)
+            assert (x.tobytes(), x0.tobytes(), repr(st)) == (x_j.tobytes(), x0_j.tobytes(), repr(st_j))
+            assert x0_j.any() if i % 2 else not x0_j.any()
 
     def test_iteration_budget_per_block(self, monkeypatch):
         # With no stop test met, each block runs its own max(1000, 10 n_j).
@@ -449,9 +450,8 @@ class TestBlocksEqualReferenceCg:
 
     def test_blocks_longer_than_a_piece(self):
         # Blocks of _PIECE + 1 and 2 _PIECE + 3 rows at non-zero offsets, beside
-        # small ones: their BLAS calls span pieces cut from their own start, so
-        # each keeps the bits of reference_cg and of its solve alone, x, stats
-        # and Galerkin vector.
+        # small ones: each keeps the bits of reference_cg and of its solve on
+        # its own arrays, x, stats and Galerkin vector.
         rng = np.random.default_rng(0)
         blocks, rhs = [], []
         for n in (40, _PIECE + 1, 7, 2 * _PIECE + 3, 25):
@@ -461,28 +461,24 @@ class TestBlocksEqualReferenceCg:
             blocks.append(restricted_laplacian(g, np.arange(1, n + 1)))
             rhs.append(np.sqrt(g.degrees[1:]))
         assert_blocks_equal_reference(blocks, rhs)
-        h, starts = join_blocks(blocks)
-        x, results, x0 = galerkin_solve(h, np.concatenate(rhs), bounds=starts.tolist())
-        for blk, b, st, lo, hi in zip(blocks, rhs, results, starts, starts[1:]):
-            x_j, (st_j,), x0_j = galerkin_solve(blk, b)
-            assert (x[lo:hi].tobytes(), x0[lo:hi].tobytes()) == (x_j.tobytes(), x0_j.tobytes())
+        for blk, b, arrays in zip(blocks, rhs, join_blocks(blocks)):
+            x, st, x0 = galerkin_solve(arrays, b)
+            x_j, st_j, x0_j = galerkin_solve(csr_arrays(blk), b)
+            assert (x.tobytes(), x0.tobytes()) == (x_j.tobytes(), x0_j.tobytes())
             assert st == st_j and st.converged and x0_j.any()
 
     def test_empty_block(self):
-        # An instance with no reachable vertex is a block of no rows.
-        h, starts = join_blocks([laplacian(*path3()), laplacian(*path3())])
-        x, results = _conjugate_gradient_blocks(h, np.ones(4), [0, 2, 2, 4], CgConfig())
-        assert results[1] == CgStats(0, 0.0, True)
-        assert x.tobytes() == np.concatenate([conjugate_gradient(laplacian(*path3()),
-                                                                 np.ones(2))[0]] * 2).tobytes()
+        # A block of no rows, between two others, has nothing to solve.
+        blocks = [laplacian(*path3()), sp.csr_matrix((0, 0)), laplacian(*path3())]
+        assert _cg(*join_blocks(blocks)[1], np.empty(0), np.empty(0), CgConfig()) == \
+            CgStats(0, 0.0, True)
 
 
-def galerkin_solve(h, b, cfg=None, bounds=None, x0=None):
-    """_conjugate_gradient_blocks with a Galerkin vector: x, results and it."""
-    galerkin = np.full(h.shape[0], np.nan)
-    x, results = _conjugate_gradient_blocks(h, b, bounds or [0, h.shape[0]], cfg or CgConfig(),
-                                            x0=x0, galerkin=galerkin)
-    return x, results, galerkin
+def galerkin_solve(arrays, b, cfg=None):
+    """_cg from 0 on a block's CSR arrays, with a Galerkin vector: x, the
+    result and the vector."""
+    x, galerkin = np.zeros(b.size), np.full(b.size, np.nan)
+    return x, _cg(*arrays, b, x, cfg or CgConfig(), galerkin=galerkin), galerkin
 
 
 class TestStartAndGalerkin:
@@ -494,7 +490,7 @@ class TestStartAndGalerkin:
         h = restricted_laplacian(g, np.arange(1, g.n_vertices))
         b = np.sqrt(g.degrees[1:])
         x, _ = conjugate_gradient(h, b)
-        _, (stats,) = _conjugate_gradient_blocks(h, b, [0, b.size], CgConfig(), x0=x)
+        stats = _cg(*csr_arrays(h), b, x, CgConfig())
         assert stats.iterations == 1 and stats.converged
         assert stats.final_rel_residual <= 1e-10
 
@@ -502,8 +498,9 @@ class TestStartAndGalerkin:
         g = load_edge_list(io.StringIO("0 1\n0 2\n0 3"))
         h = laplacian(g, SeedSet.from_members([0], 4))   # the identity
         b = np.array([1.0, 2.0, -3.0])
-        x, (stats,) = _conjugate_gradient_blocks(h, b, [0, 3], CgConfig(), x0=b)
-        assert stats == CgStats(0, 0.0, True) and x.tobytes() == b.tobytes()
+        x = b.copy()
+        assert _cg(*csr_arrays(h), b, x, CgConfig()) == CgStats(0, 0.0, True)
+        assert x.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("graph", [path(200), path(2000), oracles.random_connected(2, 1.0, 0),
                                        Graph.from_edges(1000, np.arange(1000),
@@ -517,19 +514,21 @@ class TestStartAndGalerkin:
         # the floor, which cycle1000 meets at 1.5e-10).
         h = restricted_laplacian(graph, np.arange(1, graph.n_vertices))
         b = np.sqrt(graph.degrees[1:])
-        x, (stats,), x0 = galerkin_solve(h, b)
+        x, stats, x0 = galerkin_solve(csr_arrays(h), b)
         assert stats.converged
         b2 = 2.0 * x - b
         assert oracles.reference_done(float(np.linalg.norm(b2 - h @ x0)), x0,
                                       float(np.linalg.norm(b2)), CgConfig())
-        _, (stats,) = _conjugate_gradient_blocks(h, b2, [0, b.size], CgConfig(), x0=x0)
+        stats = _cg(*csr_arrays(h), b2, x0, CgConfig())
         assert stats.converged and stats.iterations <= 1
 
     @pytest.mark.parametrize("seed", range(4))
     def test_blocks_equal_solves_alone(self, seed):
-        # Each block's x, stats and Galerkin vector are its solve's alone, bit
-        # for bit, beside blocks that break down or have a zero rhs; so are
-        # those of the moment-2 solves started from the Galerkin vector.
+        # Each block's x, stats and Galerkin vector, through its indptr slice
+        # (int32 indices at even seeds, int64 at odd), are those of its solve
+        # on its own arrays, bit for bit, beside blocks that break down or
+        # have a zero rhs; so are those of the moment-2 solves started from
+        # the Galerkin vector.
         rng = np.random.default_rng(seed)
         blocks = []
         for i in range(5):
@@ -544,22 +543,20 @@ class TestStartAndGalerkin:
             blocks.append((restricted_laplacian(g, seeds.complement[keep]),
                            np.sqrt(g.degrees[seeds.complement[keep]])))
         blocks[3] = (blocks[3][0], np.zeros(blocks[3][1].size))
-        h, starts = join_blocks([blk for blk, _ in blocks])
-        bounds = starts.tolist()
-        x, results, x0 = galerkin_solve(h, np.concatenate([b for _, b in blocks]), bounds=bounds)
-        b2 = 2.0 * x - np.concatenate([b for _, b in blocks])
-        b2[bounds[2]:bounds[4]] = 0.0
-        y, results2 = _conjugate_gradient_blocks(h, b2, bounds, CgConfig(), x0=x0)
-        assert isinstance(results[2], NonSpdError) and results[3] == CgStats(0, 0.0, True)
-        assert not x0[bounds[2]:bounds[4]].any()
-        for j, ((blk, b), lo, hi) in enumerate(zip(blocks, bounds, bounds[1:])):
-            x_j, (st,), x0_j = galerkin_solve(blk, b)
-            assert (x[lo:hi].tobytes(), x0[lo:hi].tobytes()) == (x_j.tobytes(), x0_j.tobytes())
-            assert repr(results[j]) == repr(st)
-            y_j, (st2,) = _conjugate_gradient_blocks(blk, b2[lo:hi], [0, hi - lo], CgConfig(),
-                                                     x0=x0_j)
-            assert y[lo:hi].tobytes() == y_j.tobytes() and results2[j] == st2
-            if j not in (2, 3):
+        joined = join_blocks([blk for blk, _ in blocks], (np.int32, np.int64)[seed % 2])
+        for j, ((blk, b), arrays) in enumerate(zip(blocks, joined)):
+            x, st, x0 = galerkin_solve(arrays, b)
+            x_j, st_j, x0_j = galerkin_solve(csr_arrays(blk), b)
+            assert (x.tobytes(), x0.tobytes(), repr(st)) == (x_j.tobytes(), x0_j.tobytes(), repr(st_j))
+            if j == 2:
+                assert isinstance(st, NonSpdError) and not x0.any()
+                continue
+            b2 = 2.0 * x - b
+            st2, st2_j = _cg(*arrays, b2, x0, CgConfig()), _cg(*csr_arrays(blk), b2, x0_j, CgConfig())
+            assert x0.tobytes() == x0_j.tobytes() and st2 == st2_j
+            if j == 3:
+                assert st == st2 == CgStats(0, 0.0, True) and not x0.any()
+            else:
                 assert st.converged and st2.converged and st2.iterations < st.iterations
 
     def test_unconverged_block_gets_zero_start(self, monkeypatch):
@@ -570,7 +567,7 @@ class TestStartAndGalerkin:
         for n in (3, 10, 100):
             g = path(n)
             h = restricted_laplacian(g, np.arange(1, n))
-            _, (stats,), x0 = galerkin_solve(h, np.sqrt(g.degrees[1:]))
+            _, stats, x0 = galerkin_solve(csr_arrays(h), np.sqrt(g.degrees[1:]))
             assert not stats.converged and not x0.any()
 
 

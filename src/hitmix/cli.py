@@ -12,6 +12,7 @@ import sys
 import tempfile
 import time
 from dataclasses import replace
+from typing import Iterable, Iterator
 
 from .graph import EdgeListParseError, data_lines, edge_tokens, load_edge_list, load_seed_file
 from .metrics import adjusted_rand_index, precision_recall_f1
@@ -21,9 +22,10 @@ from .sbm import SimulationSpec, run_simulation, runs_csv_lines, summary_csv_lin
 from .solver import CgConfig, CgStats, HitmixError
 
 log = logging.getLogger("hitmix")
+_TSV_ROWS = 8192    # rows per string that _tsv yields
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, chunks: Iterable[str]) -> None:
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".hitmix-tmp-")
     umask = os.umask(0)
@@ -31,7 +33,7 @@ def _atomic_write(path: str, text: str) -> None:
     try:
         os.fchmod(fd, 0o666 & ~umask)   # mkstemp's 0600 would outlive os.replace
         with os.fdopen(fd, "w") as f:
-            f.write(text)
+            f.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -53,11 +55,13 @@ def _cg_summary(cfg: CgConfig, stats: list[CgStats]) -> str:
             + ", ".join(f"{s.final_rel_residual:.1e}" for s in stats) + "]")
 
 
-def _tsv(header: str, *columns) -> str:
-    """header, then one row per vertex: floats to 12 significant digits,
-    ids and flags as integers."""
-    row = "\t".join("%.12g" if c.dtype.kind == "f" else "%d" for c in columns)
-    return "\n".join([header, *(row % r for r in zip(*(c.tolist() for c in columns)))]) + "\n"
+def _tsv(header: str, *columns) -> Iterator[str]:
+    """header, then one row per vertex, a block of rows at a time: floats to
+    12 significant digits, ids and flags as integers."""
+    row = "\t".join("%.12g" if c.dtype.kind == "f" else "%d" for c in columns) + "\n"
+    yield header + "\n"
+    for at in range(0, len(columns[0]), _TSV_ROWS):
+        yield "".join([row % r for r in zip(*(c[at:at + _TSV_ROWS].tolist() for c in columns))])
 
 
 def _named(source: str, parse, *args, **kwargs):
@@ -140,7 +144,7 @@ def _cmd_expand(args) -> int:
         "goal_set_size": int(result.labels.sum()),
         "unreachable": int((~table.reachable).sum()),
     }
-    _atomic_write(args.out + ".json", json.dumps(sidecar, indent=2) + "\n")
+    _atomic_write(args.out + ".json", [json.dumps(sidecar, indent=2) + "\n"])
     return 0
 
 
@@ -194,9 +198,9 @@ def _cmd_sbm_sim(args) -> int:
              len(spec.values), spec.mc_samples, time.perf_counter() - t0)
     os.makedirs(args.out, exist_ok=True)
     _atomic_write(os.path.join(args.out, "runs.csv"),
-                  "\n".join(runs_csv_lines(summary)) + "\n")
+                  (line + "\n" for line in runs_csv_lines(summary)))
     _atomic_write(os.path.join(args.out, "summary.csv"),
-                  "\n".join(summary_csv_lines(summary)) + "\n")
+                  (line + "\n" for line in summary_csv_lines(summary)))
     return 0
 
 
@@ -236,23 +240,22 @@ def _cmd_relabel(args) -> int:
     mapping: dict[str, int] = {}
 
     def dense_lines(f) -> list[str]:
-        lines = ["%d %d" % tuple(mapping.setdefault(t, len(mapping))
+        lines = ["%d %d\n" % tuple(mapping.setdefault(t, len(mapping))
                                  for t in edge_tokens(line_no, line))
                  for line_no, line in data_lines(f)]
         if not lines:
             raise EdgeListParseError(0, "no edges in input")
         return lines
 
-    _atomic_write(args.out, "\n".join(_load(args.graph, dense_lines)) + "\n")
-    map_lines = [f"{name}\t{vid}" for name, vid in mapping.items()]
-    _atomic_write(args.out + ".map.tsv", "\n".join(map_lines) + "\n")
+    _atomic_write(args.out, _load(args.graph, dense_lines))
+    _atomic_write(args.out + ".map.tsv", (f"{name}\t{vid}\n" for name, vid in mapping.items()))
     return 0
 
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="hitmix",
+        prog="hitmix", allow_abbrev=False,
         description="Seed-set expansion via hitting-time moments and a "
                     "lognormal mixture model")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -263,11 +266,11 @@ def _parser() -> argparse.ArgumentParser:
     common_gs.add_argument("--out", required=True, help="output path")
     common_gs.add_argument("--cg-tol", type=float, default=CgConfig.rel_tol)
 
-    p = sub.add_parser("moments", parents=[common_gs],
+    p = sub.add_parser("moments", allow_abbrev=False, parents=[common_gs],
                        help="hitting-time means/variances as TSV")
     p.set_defaults(func=_cmd_moments)
 
-    p = sub.add_parser("expand", parents=[common_gs],
+    p = sub.add_parser("expand", allow_abbrev=False, parents=[common_gs],
                        help="full membership pipeline, TSV + JSON sidecar")
     p.add_argument("--tau", type=float, default=HitmixConfig.tau)
     p.add_argument("--samples-per-vertex", type=int, default=HitmixConfig.m)
@@ -279,19 +282,19 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_expand)
 
-    p = sub.add_parser("sbm-sim", help="Monte Carlo SBM benchmark sweep")
+    p = sub.add_parser("sbm-sim", allow_abbrev=False, help="Monte Carlo SBM benchmark sweep")
     p.add_argument("--config", required=True, help="key = value settings file")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--workers", type=int, default=None)
     p.set_defaults(func=_cmd_sbm_sim)
 
-    p = sub.add_parser("eval", help="score predicted vs truth label TSVs")
+    p = sub.add_parser("eval", allow_abbrev=False, help="score predicted vs truth label TSVs")
     p.add_argument("--predicted", required=True)
     p.add_argument("--truth", required=True)
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("relabel", help="map string vertex names to dense ids")
+    p = sub.add_parser("relabel", allow_abbrev=False, help="map string vertex names to dense ids")
     p.add_argument("--graph", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_relabel)

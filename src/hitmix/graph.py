@@ -51,16 +51,18 @@ class Graph:
         # A = C + C^T for the COO C of the input pairs: a reversed pair adds to
         # the same entry, and a self-loop gets 2 so that degrees equal row sums.
         # A's entries in CSR order are the runs of the sorted keys row << 32 | col
-        # of both directions; a run's length is the entry's multiplicity.
+        # of both directions; a run's length is the entry's multiplicity, and a
+        # row's sum of run lengths, exact in float64, is the vertex's degree.
         keys = np.sort(np.concatenate([u << 32 | v, v << 32 | u]))
         # Run starts: the first key, if any, and each key unlike the one before.
         first = np.flatnonzero(np.concatenate([keys[:1] >= 0, keys[1:] != keys[:-1]]))
-        entries = keys[first]
-        indptr = np.append(0, np.bincount(entries >> 32, minlength=n_vertices).cumsum())
         counts = np.diff(first, append=keys.size).astype(np.float64)
+        entries = keys[first]
+        del keys, first     # before the CSR arrays are made
+        indptr = np.append(0, np.bincount(entries >> 32, minlength=n_vertices).cumsum())
+        degrees = np.bincount(entries >> 32, weights=counts, minlength=n_vertices).astype(np.float64)
         adjacency = sp.csr_matrix((counts, entries & 0xFFFFFFFF, indptr),
                                   shape=(n_vertices, n_vertices))
-        degrees = np.bincount(keys >> 32, minlength=n_vertices).astype(np.float64)
         adjacency.data.flags.writeable = False
         degrees.flags.writeable = False
         return cls(n_vertices, adjacency, degrees)
@@ -96,6 +98,7 @@ _MAX_VERTICES_PER_EDGE = 10
 _SPARE_VERTICES = 1000
 # Leading blank and '#' lines of an edge list.
 _HEADER = re.compile(r"(?:[ \t\r]*(?:#[^\n]*)?\n)*")
+_BULK_BLOCK = 1 << 20   # characters; see _bulk_ids
 
 
 def data_lines(stream: IO[str]) -> Iterator[tuple[int, str]]:
@@ -115,24 +118,32 @@ def edge_tokens(line_no: int, line: str) -> list[str]:
 
 
 def _bulk_ids(text: str) -> np.ndarray | None:
-    """u0 v0 u1 v1 ... in one np.fromstring call when, past a '#' header, every
-    line is blank or two runs of ASCII digits apart by spaces, tabs or CRs."""
-    text = text[_HEADER.match(text).end():]
-    data = b"\n" + text.encode("ascii", "replace") + b"\n"
-    if data.translate(None, b"0123456789 \t\r\n"):
-        return None
-    b = np.frombuffer(data, dtype=np.uint8)
-    digit, newline = b >= ord("0"), b == ord("\n")
-    # Newlines and token starts in text order; gaps - 1 tokens on each line.
-    is_newline = newline[1:][np.flatnonzero(newline[1:] | (digit[1:] & ~digit[:-1]))]
-    gaps = np.diff(np.flatnonzero(is_newline), prepend=-1)
-    ids = np.fromstring(text, dtype=np.int64, sep=" ")
-    # Each line holds 0 or 2 ids, all parsed, and none of 19 or more digits,
-    # which may have saturated at 2**63 - 1 (the line loop reports its digits).
-    if (((gaps == 1) | (gaps == 3)).all() and ids.size == 2 * (gaps == 3).sum()
-            and not (ids.size and ids.max() >= 10 ** 18)):
-        return ids
-    return None
+    """u0 v0 u1 v1 ... when, past a '#' header, every line is blank or two runs
+    of ASCII digits apart by spaces, tabs or CRs. Checked, then parsed by
+    np.fromstring, a block of lines at a time: the scratch is one block's."""
+    cuts = [_HEADER.match(text).end()]
+    while cuts[-1] < len(text):     # a block ends at the first newline past _BULK_BLOCK chars
+        cuts.append(text.find("\n", cuts[-1] + _BULK_BLOCK) + 1 or len(text))
+    counts = []
+    for start, end in zip(cuts, cuts[1:]):
+        data = b"\n" + text[start:end].encode("ascii", "replace") + b"\n"
+        b = np.frombuffer(data, dtype=np.uint8)
+        digit, newline = b >= ord("0"), b == ord("\n")
+        # Newlines and token starts in text order; gaps - 1 tokens on each line.
+        is_newline = newline[1:][np.flatnonzero(newline[1:] | (digit[1:] & ~digit[:-1]))]
+        gaps = np.diff(np.flatnonzero(is_newline), prepend=-1)
+        if data.translate(None, b"0123456789 \t\r\n") or not ((gaps == 1) | (gaps == 3)).all():
+            return None
+        counts.append(2 * int((gaps == 3).sum()))
+    ids, at = np.empty(sum(counts), dtype=np.int64), 0
+    for start, end, count in zip(cuts, cuts[1:], counts):
+        if count:   # np.fromstring reads a block of blank lines as [0]
+            block = np.fromstring(text[start:end], dtype=np.int64, sep=" ")
+            # All parsed, and none of 19+ digits, which may saturate (the line loop reports them).
+            if block.size != count or block.max() >= 10 ** 18:
+                return None
+            ids[at:at + count], at = block, at + count
+    return ids
 
 
 def _line_ids(text: str) -> list[int]:
@@ -159,6 +170,7 @@ def load_edge_list(stream: IO[str]) -> Graph:
     ids = _bulk_ids(text)
     if ids is None:
         ids = _line_ids(text)
+    del text    # the build's peak need not hold it
     if not len(ids):
         raise EdgeListParseError(0, "no edges in input")
     # A list holds Python ints, exact past the int64 range.

@@ -3,7 +3,9 @@
 The dense, sparse-LU and long-double tridiagonal solves and the Monte Carlo
 walk simulator check the CG moments of `hitmix.moments.compute_moments` by
 routes that share no code with it; the breadth-first search checks
-`hitmix.graph.reachable_from`;
+`hitmix.graph.reachable_from`; `concat_sort_graph_arrays` is the CSR build
+that `hitmix.graph.Graph.from_edges` must equal byte for byte, with every
+buffer alive to the end;
 `reference_em_fit` is EM with its parameter step in NumPy arrays, which
 `hitmix.mixture.em_fit` must equal bit for bit; `reference_cg` is conjugate
 gradients that test ||x|| at every step, which
@@ -14,6 +16,7 @@ record of `hitmix.sbm.run_simulation` must equal.
 
 import logging
 import math
+import tracemalloc
 
 import io
 from collections import deque
@@ -114,6 +117,30 @@ def tridiagonal_moments(graph, seeds):
     p_m1[1:] -= lower * m1[:-1]
     m2 = solve(1.0 + 2.0 * p_m1)
     return m1, m2 - m1 ** 2
+
+
+def concat_sort_graph_arrays(n_vertices: int, u, v) -> tuple[np.ndarray, ...]:
+    """indptr, indices, data and degrees of the graph on the pairs (u, v), by
+    sorting the concatenated keys row << 32 | col of both directions and
+    counting each row's keys for its degree."""
+    u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+    keys = np.sort(np.concatenate([u << 32 | v, v << 32 | u]))
+    first = np.flatnonzero(np.concatenate([keys[:1] >= 0, keys[1:] != keys[:-1]]))
+    entries = keys[first]
+    indptr = np.append(0, np.bincount(entries >> 32, minlength=n_vertices).cumsum())
+    counts = np.diff(first, append=keys.size).astype(np.float64)
+    a = sp.csr_matrix((counts, entries & 0xFFFFFFFF, indptr), shape=(n_vertices, n_vertices))
+    degrees = np.bincount(keys >> 32, minlength=n_vertices).astype(np.float64)
+    return a.indptr, a.indices, a.data, degrees
+
+
+def traced_peak(fn, *args) -> tuple[object, int]:
+    """fn(*args) and the most bytes that tracemalloc saw allocated during the call."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def bfs_reachable(n_vertices: int, u, v, seeds: SeedSet) -> np.ndarray:

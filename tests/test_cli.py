@@ -13,11 +13,12 @@ import hitmix.cli
 import hitmix.mixture
 import hitmix.moments
 import hitmix.sbm
-from hitmix.cli import _tsv, run
+from hitmix.cli import _TSV_ROWS, _atomic_write, _tsv, run
 from hitmix.graph import EdgeListParseError, load_edge_list
 from hitmix.mixture import EmCollapseError, HitmixConfig
 from hitmix.sbm import SWEEPS, McSummary, SimulationSpec
 from hitmix.solver import CgStats, NonSpdError
+from oracles import traced_peak
 
 PATH3 = "0 1\n1 2\n"
 
@@ -145,7 +146,59 @@ def test_tsv_rows_match_per_value_formatting():
     flags = np.array([True, False, True])
     expected = ["vertex_id\tx\ty\tflag"] + [
         f"{i}\t{a:.12g}\t{b:.12g}\t{int(f)}" for i, a, b, f in zip(ids, x, y, flags)]
-    assert _tsv("vertex_id\tx\ty\tflag", ids, x, y, flags) == "\n".join(expected) + "\n"
+    assert "".join(_tsv("vertex_id\tx\ty\tflag", ids, x, y, flags)) == "\n".join(expected) + "\n"
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, _TSV_ROWS, _TSV_ROWS + 1])
+def test_tsv_blocks_of_rows(n_rows):
+    # Unreachable vertices have NaN moments; every third row here is one.
+    ids = np.arange(n_rows) * 7
+    x = np.where(ids % 3 == 0, np.nan, ids / 3.0)
+    flags = ids % 3 != 0
+    chunks = list(_tsv("vertex_id\tx\tflag", ids, x, flags))
+    expected = [f"{i}\t{a:.12g}\t{int(f)}\n" for i, a, f in zip(ids, x, flags)]
+    assert chunks[0] == "vertex_id\tx\tflag\n"
+    assert [c.count("\n") for c in chunks[1:]] == [
+        min(_TSV_ROWS, n_rows - at) for at in range(0, n_rows, _TSV_ROWS)]
+    assert "".join(chunks[1:]) == "".join(expected)
+
+
+def test_tsv_scratch_does_not_grow_with_the_rows():
+    # _tsv formats a block of rows at a time: 8 times the rows may not need
+    # twice the memory. A whole-file string needs it 8 times over.
+    rng = np.random.default_rng(3)
+
+    def peak(n_rows):
+        columns = (np.arange(n_rows), rng.random(n_rows), rng.random(n_rows) < 0.5)
+        return traced_peak(lambda: sum(map(len, _tsv("vertex_id\tx\tflag", *columns))))[1]
+
+    assert peak(32 * _TSV_ROWS) < 2 * peak(4 * _TSV_ROWS)
+
+
+def test_atomic_write_leaves_nothing_when_chunks_raise(tmp_path):
+    def chunks():
+        yield "vertex_id\tmean\n"
+        raise ValueError("row 2")
+    with pytest.raises(ValueError, match="row 2"):
+        _atomic_write(str(tmp_path / "m.tsv"), chunks())
+    assert list(tmp_path.iterdir()) == []
+    (tmp_path / "m.tsv").write_text("old\n")
+    with pytest.raises(ValueError, match="row 2"):
+        _atomic_write(str(tmp_path / "m.tsv"), chunks())
+    assert [p.name for p in tmp_path.iterdir()] == ["m.tsv"]
+    assert (tmp_path / "m.tsv").read_text() == "old\n"
+
+
+@pytest.mark.parametrize("command, flag", [("moments", ["--seed", "1"]),
+                                           ("expand", ["--samples", "5"])])
+def test_flag_abbreviation_is_a_usage_error(workdir, monkeypatch, capsys, command, flag):
+    # argparse would read --seed as --seeds, so the seeds would come from a
+    # file named 1, and --samples as --samples-per-vertex.
+    monkeypatch.chdir(workdir)
+    (workdir / "1").write_text("0\n")
+    assert run([command, "--graph", "g.txt", "--seeds", "s.txt", "--out", "m.tsv", *flag]) == 1
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not (workdir / "m.tsv").exists()
 
 
 def test_sbm_sim_smoke(tmp_path):

@@ -5,14 +5,14 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
 import hitmix.graph
 from hitmix.graph import (EdgeListParseError, Graph, SeedSet, load_edge_list,
                           load_seed_file, reachable_from)
-from oracles import bfs_reachable
+from oracles import bfs_reachable, concat_sort_graph_arrays, traced_peak
 
 
 def load(text):
@@ -147,6 +147,59 @@ class TestBulkParseTraps:
         assert load("0 1\n1 2\n2 0\n").degrees.tolist() == [2, 2, 2]
         snap = "# Directed graph: x.txt\n# Nodes: 3 Edges: 2\n# FromNodeId\tToNodeId\n0\t1\n1\t2\n"
         assert load(snap).degrees.tolist() == [1, 2, 1]
+
+    def test_blank_lines_between_edges_add_no_ids(self):
+        # np.fromstring reads a block of blanks as [0]; such a block is skipped.
+        assert hitmix.graph._bulk_ids("0 1\n\n  \n\t\n1 2\n \n").tolist() == [0, 1, 1, 2]
+
+
+def test_bulk_parse_matches_line_loop_in_line_blocks():
+    # A block ends at the first newline past _BULK_BLOCK characters: with 1,
+    # every line that is not blank is a block of its own.
+    with mock.patch.object(hitmix.graph, "_BULK_BLOCK", 1):
+        test_bulk_parse_matches_line_loop()
+
+
+class TestBulkParseTrapsInLineBlocks(TestBulkParseTraps):
+    """The traps again, with a block boundary at every line that is not blank."""
+
+    @pytest.fixture(autouse=True)
+    def line_blocks(self, monkeypatch):
+        monkeypatch.setattr(hitmix.graph, "_BULK_BLOCK", 1)
+
+
+def test_bulk_parse_scratch_does_not_grow_with_the_text(monkeypatch):
+    # Beside the ids it returns, the parse holds the arrays of one block of
+    # lines, not of the text: 8 times the lines may not need twice the
+    # scratch. A whole-text parse needs several bytes per character.
+    monkeypatch.setattr(hitmix.graph, "_BULK_BLOCK", 1 << 16)
+    rng = np.random.default_rng(5)
+
+    def scratch(n_lines):
+        pairs = rng.integers(0, 10 ** 6, (n_lines, 2))
+        text = "# header\n" + "".join(f"{a}\t{b}\n" for a, b in pairs.tolist())
+        ids, peak = traced_peak(hitmix.graph._bulk_ids, text)
+        assert np.array_equal(ids, pairs.ravel())
+        return peak - ids.nbytes
+
+    small, large = scratch(20_000), scratch(160_000)
+    assert large < 2 * small
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 12), pairs=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)),
+                                           max_size=40))
+@example(n=3, pairs=[])                         # no edges
+@example(n=2, pairs=[(1, 1), (0, 0), (1, 1)])   # self-loops
+@example(n=2, pairs=[(0, 1), (1, 0), (0, 1)])   # one pair three times
+@example(n=6, pairs=[(0, 1), (4, 1)])           # isolated vertices 2, 3 and 5
+def test_from_edges_matches_concat_sort_build(n, pairs):
+    pairs = [(a % n, b % n) for a, b in pairs]
+    u, v = [a for a, _ in pairs], [b for _, b in pairs]
+    g = Graph.from_edges(n, u, v)
+    built = (g.adjacency.indptr, g.adjacency.indices, g.adjacency.data, g.degrees)
+    for got, want in zip(built, concat_sort_graph_arrays(n, u, v)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestGraphInvariants:

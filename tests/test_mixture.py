@@ -272,8 +272,9 @@ class TestEmFit:
            max_iters=st.integers(1, 300), groups=st.integers(1, 3),
            seed=st.integers(0, 2 ** 32 - 1))
     def test_equals_array_reference_bit_for_bit(self, n, g, m, max_iters, groups, seed):
-        # The parameter step runs on Python floats; the reference runs it on
-        # NumPy arrays and reduces the E-step with axis-0 np.max and np.sum.
+        # em_fit runs the parameter step on the (R, g) arrays of a batch of
+        # fits; the reference runs it on one fit's length-g arrays and reduces
+        # the E-step with axis-0 np.max and np.sum.
         assume(g <= n)
         rng = np.random.default_rng(seed)
         log_means = rng.normal(0.0, 2.0, groups)[rng.integers(0, groups, n)]

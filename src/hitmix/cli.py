@@ -239,15 +239,14 @@ def _cmd_eval(args) -> int:
 def _cmd_relabel(args) -> int:
     mapping: dict[str, int] = {}
 
-    def dense_lines(f) -> list[str]:
-        lines = ["%d %d\n" % tuple(mapping.setdefault(t, len(mapping))
-                                 for t in edge_tokens(line_no, line))
-                 for line_no, line in data_lines(f)]
-        if not lines:
+    def dense_lines(f) -> Iterator[str]:
+        for line_no, line in data_lines(f):
+            yield "%d %d\n" % tuple(mapping.setdefault(t, len(mapping))
+                                    for t in edge_tokens(line_no, line))
+        if not mapping:
             raise EdgeListParseError(0, "no edges in input")
-        return lines
 
-    _atomic_write(args.out, _load(args.graph, dense_lines))
+    _load(args.graph, lambda f: _atomic_write(args.out, dense_lines(f)))
     _atomic_write(args.out + ".map.tsv", (f"{name}\t{vid}\n" for name, vid in mapping.items()))
     return 0
 

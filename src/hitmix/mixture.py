@@ -48,7 +48,7 @@ class VertexSamples:
     @cached_property
     def em_stats(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Rows [1, s1_i, s2_i], their transpose and the rows in stable order
-        of s1: the read-only inputs that every em_fit on these samples shares."""
+        of s1: the read-only inputs that every EM fit on these samples shares."""
         stats = np.column_stack([np.ones(self.s1.size), self.s1, self.s2])
         return stats, np.ascontiguousarray(stats.T), stats[np.argsort(self.s1, kind="stable")]
 
@@ -162,25 +162,13 @@ def _log_normal_mle(count, sum1, sum2, m: int) -> tuple[np.ndarray, np.ndarray]:
     return mu, np.maximum(sum2 / n_obs - mu * mu, _SIGMA2_FLOOR)
 
 
-def em_fit(samples: VertexSamples, g: int, cfg: HitmixConfig | None = None) -> MixtureFit:
-    """EM for a g-component lognormal mixture over grouped vertex samples: the
-    one-run call of _em_fit_batch, after checking g. Raises the EmCollapseError
-    that _em_fit_batch returns for a collapse."""
-    if cfg is None:
-        cfg = HitmixConfig()
-    if g < 2:
-        raise ValueError("g must be >= 2")
-    n = samples.s1.size
-    if g > n:
-        raise ValueError(f"g = {g} exceeds number of vertices ({n})")
-    return one_or_raise(_em_fit_batch([samples], g, cfg, np.empty((1, g + 2, n))))
-
-
 def _em_fit_batch(samples: list[VertexSamples], g: int, cfg: HitmixConfig,
                   work: np.ndarray) -> list[MixtureFit | EmCollapseError]:
-    """em_fit over R >= 1 runs at once, unchecked: the runs share m and each has at
-    least g >= 2 vertices. Per run, in input order, its fit or the
-    EmCollapseError of the first M-step that left a component weight below 1e-12.
+    """EM for a g-component lognormal mixture over grouped vertex samples, for
+    R >= 1 runs at once, unchecked: the runs share m and each has at least
+    g >= 2 vertices; fit_candidates passes only such runs. Per run, in input
+    order, its fit or the EmCollapseError of the first M-step that left a
+    component weight below 1e-12.
 
     log prod_j f(t_ij; theta_k) = -s1_i + [1, s1_i, s2_i] . w_k, so the E-step
     is one stacked (g x 3) @ (3 x n) product, reduced over the g rows into

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg.blas import daxpy, ddot, dscal
 from scipy.sparse._sparsetools import csr_matvec
 
@@ -69,32 +68,6 @@ _BREAKDOWN = ("conjugate gradient broke down (non-positive or non-finite curvatu
               "the operator is not SPD. Filter unreachable vertices using reachable_from")
 
 
-def conjugate_gradient(h: sp.csr_matrix, b: np.ndarray,
-                       cfg: CgConfig | None = None) -> tuple[np.ndarray, CgStats]:
-    """Solve h @ x = b with textbook (Hestenes-Stiefel) conjugate gradients: _cg
-    from 0, after checking h and b. Raises the NonSpdError that it returns for
-    a breakdown.
-
-    Converged means the true residual is within cfg.rel_tol or at the
-    double-precision floor; CgStats.final_rel_residual is the true relative
-    residual attained.
-    """
-    if cfg is None:
-        cfg = CgConfig()
-    if h.format != "csr":   # the raw kernel would read a CSC matrix as its transpose
-        raise TypeError(f"conjugate_gradient needs a CSR operator, got {h.format!r}")
-    b = np.asarray(b, dtype=np.float64)
-    n = h.shape[0]
-    if b.shape != (n,):
-        raise ValueError(f"rhs length {b.shape} does not match operator size {n}")
-    if h.shape != (n, n):
-        raise ValueError(f"operator shape {h.shape} is not square")
-    if not np.all(np.isfinite(b)):
-        raise ValueError("rhs contains non-finite entries")
-    x = np.zeros(n)
-    return x, one_or_raise([_cg(h.indptr, h.indices, h.data, b, x, cfg)])
-
-
 # Every BLAS call of the kernel spans at most this many entries. OpenBLAS runs
 # level-1 calls below 10,000 entries on one thread, so a dot product sums in one
 # order at any thread count (and a threaded daxpy measured 360 times slower).
@@ -112,14 +85,16 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
 def _cg(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, b: np.ndarray,
         x: np.ndarray, cfg: CgConfig, galerkin: np.ndarray | None = None
         ) -> CgStats | NonSpdError:
-    """conjugate_gradient from x, unchecked: indptr, indices and data are the
-    CSR arrays of an n x n matrix H, n = b.size, whose column ids lie in
-    0..n-1 (indptr may be a slice of a longer array, and its offsets point
-    into indices and data), b is a finite float64 vector and x a float64
-    n-vector. The solve starts from x, with r = b - Hx (from 0, b's bits),
-    writes its result into x and returns its CgStats, or the NonSpdError of
-    its breakdown. Its residual is relative to ||b|| and its ||x|| bound
-    starts at ||x||.
+    """Solve H x = b with textbook (Hestenes-Stiefel) conjugate gradients from
+    x, unchecked; moments._solve_group calls it for both moments of each
+    instance. indptr, indices and data are the CSR arrays of an n x n matrix
+    H, n = b.size, whose column ids lie in 0..n-1 (indptr may be a slice of a
+    longer array, and its offsets point into indices and data), b is a finite
+    float64 vector and x a float64 n-vector. The solve starts from x, with
+    r = b - Hx (from 0, b's bits), writes its result into x and returns its
+    CgStats, or the NonSpdError of its breakdown. Converged means the true
+    residual, relative to ||b||, is within cfg.rel_tol or at the
+    double-precision floor; its ||x|| bound starts at ||x||.
 
     A step is one csr_matvec, the fused updates x += alpha p and r -= alpha Hp
     (one daxpy each, rounded once per entry) and p <- beta p + r (dscal then

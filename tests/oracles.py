@@ -6,12 +6,12 @@ routes that share no code with it; the breadth-first search checks
 `hitmix.graph.reachable_from`; `concat_sort_graph_arrays` is the CSR build
 that `hitmix.graph.Graph.from_edges` must equal byte for byte, with every
 buffer alive to the end;
-`reference_em_fit` is EM with its parameter step in NumPy arrays, which
-`hitmix.mixture.em_fit` must equal bit for bit; `reference_cg` is conjugate
-gradients that test ||x|| at every step, which
-`hitmix.solver.conjugate_gradient` must equal bit for bit; `reference_run` is
-one sbm-sim run through the one-instance pipeline `hitmix()`, which every
-record of `hitmix.sbm.run_simulation` must equal.
+`reference_em_fit` is EM with its parameter step in NumPy arrays, which the
+private kernel `hitmix.mixture._em_fit_batch` must equal bit for bit on each
+run; `reference_cg` is conjugate gradients that test ||x|| at every step,
+which the private kernel `hitmix.solver._cg`, started from 0, must equal bit
+for bit; `reference_run` is one sbm-sim run through the one-instance pipeline
+`hitmix()`, which every record of `hitmix.sbm.run_simulation` must equal.
 """
 
 import logging
@@ -167,8 +167,8 @@ def _array_log_normal_mle(sums: np.ndarray, m: int) -> tuple[np.ndarray, np.ndar
 
 
 def reference_em_fit(samples: VertexSamples, g: int, cfg: HitmixConfig) -> MixtureFit:
-    """em_fit with every per-component step done on length-g NumPy arrays and
-    the E-step reduced with axis-0 np.max and np.sum."""
+    """EM on one run with every per-component step done on length-g NumPy
+    arrays and the E-step reduced with axis-0 np.max and np.sum."""
     n, m = samples.s1.size, samples.m
     stats = np.column_stack([np.ones(n), samples.s1, samples.s2])
     stats_t = np.ascontiguousarray(stats.T)
@@ -267,7 +267,7 @@ def reference_done(r_norm, x, b_norm, cfg):
 
 def reference_cg(h: sp.csr_matrix, b: np.ndarray,
                  cfg: CgConfig | None = None) -> tuple[np.ndarray, CgStats]:
-    """conjugate_gradient that computes x @ x for its floor test at every
+    """_cg from 0 that computes x @ x for its floor test at every
     step where the relative-residual test fails, checks finiteness with
     np.isfinite and takes every dot product as pieced_dot. x and r take the
     kernel's fused updates, each one daxpy over the whole vector (it rounds

@@ -111,6 +111,18 @@ def test_relabel_and_load_share_the_token_message(tmp_path, caplog):
     assert [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR] \
         == [f"{tmp_path / 'bad.txt'}: {loaded.value}"]
     assert not (tmp_path / "dense.txt").exists()
+    # The same error after 20,000 good lines, once output has been written: a
+    # pre-existing --out keeps its bytes, and no temporary or map file is left.
+    lines = "".join(f"v{i} v{i + 1}\n" for i in range(20_000))
+    (tmp_path / "late.txt").write_text(lines + "alice bob carol\n")
+    (tmp_path / "dense.txt").write_text("old\n")
+    caplog.clear()
+    assert run(["relabel", "--graph", str(tmp_path / "late.txt"),
+                "--out", str(tmp_path / "dense.txt")]) == 2
+    assert [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR] \
+        == [f"{tmp_path / 'late.txt'}: line 20001: expected 2 tokens, got 3"]
+    assert (tmp_path / "dense.txt").read_text() == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.txt", "dense.txt", "late.txt"]
 
 
 @pytest.mark.parametrize("text", ["", "# names only\n\n"], ids=["empty", "comments"])

@@ -14,10 +14,10 @@ from scipy.stats import lognorm
 from hitmix.graph import Graph, SeedSet, load_edge_list, reachable_from
 from hitmix.mixture import (EmCollapseError, HitmixConfig, MomentTable,
                             VertexSamples, _em_fit_batch, bic, component_means,
-                            draw_pseudo_samples, em_fit, fit_candidates, hitmix,
+                            draw_pseudo_samples, fit_candidates, hitmix,
                             hitmix_batch, lognormal_mom)
 from hitmix.moments import compute_moments
-from hitmix.solver import HitmixError
+from hitmix.solver import HitmixError, one_or_raise
 from oracles import reference_em_fit
 
 
@@ -48,6 +48,12 @@ def fit_bits(fit_fn, samples, g, cfg):
         return bits(fit_fn(samples, g, cfg))
     except EmCollapseError as exc:
         return bits(exc)
+
+
+def fit_one(samples, g, cfg=None):
+    """_em_fit_batch on one run in a fresh work array; raises its collapse."""
+    work = np.empty((1, g + 2, samples.s1.size))
+    return one_or_raise(_em_fit_batch([samples], g, cfg or HitmixConfig(), work))
 
 
 def lognormal_moments(mu, sigma2):
@@ -211,7 +217,7 @@ class TestPseudoSamples:
 class TestEmFit:
     def test_recovers_separated_groups(self):
         vs = synthetic_samples([0.0, 5.0], 0.1, 100, 25, seed=3)
-        fit = em_fit(vs, 2)
+        fit = fit_one(vs, 2)
         mus = sorted(c.mu for c in fit.components)
         assert abs(mus[0] - 0.0) <= 0.1
         assert abs(mus[1] - 5.0) <= 0.1
@@ -219,7 +225,7 @@ class TestEmFit:
 
     def test_identical_samples_do_not_crash(self):
         vs = statistics_of(np.full((20, 10), 3.0))
-        fit = em_fit(vs, 2)
+        fit = fit_one(vs, 2)
         assert np.allclose(fit.responsibilities, fit.weights, atol=1e-9)
         assert np.isfinite(fit.log_likelihood)
 
@@ -227,7 +233,7 @@ class TestEmFit:
         rng = np.random.default_rng(12)
         data = np.vstack([rng.lognormal(0.0, 0.5, size=(6, 5)),
                           rng.lognormal(2.0, 0.3, size=(6, 5))])
-        fit = em_fit(statistics_of(data), 2, HitmixConfig(em_rel_tol=1e-14))
+        fit = fit_one(statistics_of(data), 2, HitmixConfig(em_rel_tol=1e-14))
         assert fit.converged
         joint = sum(w * lognorm.pdf(data, s=np.sqrt(c.sigma2), scale=np.exp(c.mu)).prod(axis=1)
                     for w, c in zip(fit.weights, fit.components))
@@ -236,13 +242,13 @@ class TestEmFit:
 
     def test_loglik_monotone(self):
         vs = synthetic_samples([0.0, 1.0], 0.5, 60, 10, seed=8)
-        fit = em_fit(vs, 3)
+        fit = fit_one(vs, 3)
         ll = np.asarray(fit.ll_history)
         assert (np.diff(ll) >= -1e-10).all()
 
     def test_responsibilities_row_normalized(self):
         vs = synthetic_samples([0.0, 2.0], 0.3, 50, 15, seed=1)
-        fit = em_fit(vs, 2)
+        fit = fit_one(vs, 2)
         assert np.abs(fit.responsibilities.sum(axis=1) - 1.0).max() <= 1e-12
         assert abs(fit.weights.sum() - 1.0) <= 1e-12
 
@@ -251,15 +257,15 @@ class TestEmFit:
         # start, with ll_history [-61768.07, -61768.07], as "converged".
         vs = three_separated_groups()
         with pytest.raises(EmCollapseError, match=r"\(g=4, iter=1\)"):
-            em_fit(vs, 4)
-        fit = em_fit(vs, 3)
+            fit_one(vs, 4)
+        fit = fit_one(vs, 3)
         assert fit.converged and fit.log_likelihood > -6000
 
     def test_fit_runs_in_the_given_work_array(self):
         vs = synthetic_samples([0.0, 2.0, 4.0], 0.3, 40, 15, seed=2)
-        g, n = 3, vs.s1.size
+        g, n, cfg = 3, vs.s1.size, HitmixConfig()
         work = np.empty((1, g + 2, n))
-        (fit,), want = _em_fit_batch([vs], g, HitmixConfig(), work), em_fit(vs, g)
+        (fit,), want = _em_fit_batch([vs], g, cfg, work), reference_em_fit(vs, g, cfg)
         assert np.shares_memory(fit.responsibilities, work)
         assert fit.responsibilities.shape == (n, g)
         assert fit.responsibilities.tobytes() == want.responsibilities.tobytes()
@@ -272,8 +278,8 @@ class TestEmFit:
            max_iters=st.integers(1, 300), groups=st.integers(1, 3),
            seed=st.integers(0, 2 ** 32 - 1))
     def test_equals_array_reference_bit_for_bit(self, n, g, m, max_iters, groups, seed):
-        # em_fit runs the parameter step on the (R, g) arrays of a batch of
-        # fits; the reference runs it on one fit's length-g arrays and reduces
+        # _em_fit_batch runs the parameter step on the (R, g) arrays of a
+        # batch of fits; the reference runs it on one fit's length-g arrays and reduces
         # the E-step with axis-0 np.max and np.sum.
         assume(g <= n)
         rng = np.random.default_rng(seed)
@@ -283,19 +289,12 @@ class TestEmFit:
         table = moment_table(np.arange(n), means, means ** 2 * rng.uniform(0.01, 1.0))
         samples = draw_pseudo_samples(table, m, seed)
         cfg = HitmixConfig(em_max_iters=max_iters)
-        assert fit_bits(em_fit, samples, g, cfg) == fit_bits(reference_em_fit, samples, g, cfg)
+        assert fit_bits(fit_one, samples, g, cfg) == fit_bits(reference_em_fit, samples, g, cfg)
 
     @pytest.mark.parametrize("g", [2, 3, 4])
     def test_equals_array_reference_on_three_groups(self, g):
         samples, cfg = three_separated_groups(), HitmixConfig()
-        assert fit_bits(em_fit, samples, g, cfg) == fit_bits(reference_em_fit, samples, g, cfg)
-
-    def test_too_many_components_errors(self):
-        vs = synthetic_samples([0.0], 0.1, 3, 5, seed=0)
-        with pytest.raises(ValueError, match=r"^g = 4 exceeds number of vertices \(3\)$"):
-            em_fit(vs, 4)
-        with pytest.raises(ValueError, match=r"^g must be >= 2$"):
-            em_fit(vs, 1)
+        assert fit_bits(fit_one, samples, g, cfg) == fit_bits(reference_em_fit, samples, g, cfg)
 
 
 def random_samples(n, m, groups, seed):
@@ -318,13 +317,13 @@ class TestEmFitBatch:
     @given(sizes=st.lists(st.integers(2, 400), min_size=1, max_size=6),
            g=st.integers(2, 6), m=st.integers(1, 40), max_iters=st.integers(1, 60),
            groups=st.integers(1, 3), seed=st.integers(0, 2 ** 31 - 1))
-    def test_equals_em_fit_run_by_run(self, sizes, g, m, max_iters, groups, seed):
+    def test_equals_reference_run_by_run(self, sizes, g, m, max_iters, groups, seed):
         # Ragged n is zero-padded to the longest run; with at most 60 iterations
         # some runs stop at the cap and leave the batch before others.
         assume(g <= min(sizes))
         samples = [random_samples(n, m, groups, seed + i) for i, n in enumerate(sizes)]
         cfg = HitmixConfig(em_max_iters=max_iters)
-        alone = [fit_bits(em_fit, s, g, cfg) for s in samples]
+        alone = [fit_bits(reference_em_fit, s, g, cfg) for s in samples]
         assert [bits(f) for f in batch_fits(samples, g, cfg)] == alone
         # A fit's bytes do not depend on the other runs in its batch.
         assert [bits(f) for f in batch_fits(samples[::-1], g, cfg)] == alone[::-1]
@@ -337,10 +336,8 @@ class TestEmFitBatch:
         fits = batch_fits(samples, 4, cfg)
         assert isinstance(fits[1], EmCollapseError)
         assert str(fits[1]) == "EM component collapsed (g=4, iter=1)"
-        with pytest.raises(EmCollapseError, match=r"^EM component collapsed \(g=4, iter=1\)$"):
-            em_fit(samples[1], 4, cfg)
         for s, fit in zip(samples, fits):
-            assert bits(fit) == fit_bits(em_fit, s, 4, cfg)
+            assert bits(fit) == fit_bits(reference_em_fit, s, 4, cfg)
 
     def test_runs_that_leave_early_own_their_responsibilities(self):
         # They converge after 7, 4 and 11 iterations; only the last one's
@@ -358,30 +355,30 @@ class TestEmFitBatch:
 class TestBic:
     def test_formula(self):
         vs = synthetic_samples([0.0, 3.0], 0.2, 100, 25, seed=4)
-        fit = em_fit(vs, 2)
+        fit = fit_one(vs, 2)
         expected = 5 * np.log(200 * 25) - 2 * fit.log_likelihood
         assert bic(fit, 200, 25) == pytest.approx(expected, rel=1e-14)
 
     def test_penalty_monotone_at_fixed_likelihood(self):
         vs = synthetic_samples([0.0, 3.0], 0.2, 50, 10, seed=4)
-        fit2 = em_fit(vs, 2)
-        fit3 = em_fit(vs, 3)
+        fit2 = fit_one(vs, 2)
+        fit3 = fit_one(vs, 3)
         fit3.log_likelihood = fit2.log_likelihood
         assert bic(fit3, 100, 10) > bic(fit2, 100, 10)
 
     def test_selects_true_group_count(self):
         vs = synthetic_samples([0.0, 5.0], 0.1, 100, 25, seed=5)
-        fit4 = em_fit(vs, 4)
+        fit4 = fit_one(vs, 4)
         assert fit4.converged
-        assert bic(em_fit(vs, 2), 200, 25) < bic(fit4, 200, 25)
+        assert bic(fit_one(vs, 2), 200, 25) < bic(fit4, 200, 25)
         with pytest.raises(EmCollapseError, match=r"g=3"):
-            em_fit(vs, 3)
+            fit_one(vs, 3)
 
 
 class TestHitmix:
     def test_label_permutation_invariance(self):
         vs = synthetic_samples([0.0, 2.0], 0.3, 40, 20, seed=6)
-        fit = em_fit(vs, 2)
+        fit = fit_one(vs, 2)
         goal = int(np.argmin(component_means(fit)))
         post = fit.responsibilities[:, goal]
         # permute component order and recompute
@@ -484,14 +481,14 @@ class TestHitmix:
 
     def test_threaded_fits_equal_serial_fits(self, monkeypatch):
         # Four fit threads on fewer cores, switching often: each fit must still
-        # equal, byte for byte, em_fit called alone on the same statistics.
+        # equal, byte for byte, its fit alone on the same statistics.
         from hitmix.sbm import SbmConfig, sample_sbm, sample_hitting_set
         rng = np.random.default_rng(7)
         graph, labels = sample_sbm(SbmConfig(2, 1000, 0.012, 0.004), rng)
         seeds = sample_hitting_set(labels, 20, rng)
         cfg = HitmixConfig(g_candidates=(2, 3, 4, 5), rng_seed=3)
         samples = draw_pseudo_samples(compute_moments(graph, seeds, cfg.cg), cfg.m, cfg.rng_seed)
-        serial = {g: em_fit(samples, g, cfg) for g in cfg.g_candidates}
+        serial = {g: fit_one(samples, g, cfg) for g in cfg.g_candidates}
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -537,7 +534,7 @@ class TestHitmix:
         assert warnings == [f"skipping g={g}: EM component collapsed (g={g}, iter=1)"
                             for g in (4, 5)]
         for g, fit in res.fits.items():
-            want = em_fit(samples, g)
+            want = fit_one(samples, g)
             assert fit.responsibilities.tobytes() == want.responsibilities.tobytes()
             assert np.array(fit.ll_history).tobytes() == np.array(want.ll_history).tobytes()
             assert fit.weights.tobytes() == want.weights.tobytes()
@@ -568,7 +565,7 @@ class TestHitmix:
                             "skipping g=4: EM component collapsed (g=4, iter=1)"]
         for g, fit in res.fits.items():
             assert fit.responsibilities.tobytes() == \
-                em_fit(three_separated_groups(), g).responsibilities.tobytes()
+                fit_one(three_separated_groups(), g).responsibilities.tobytes()
 
     def test_each_fit_gets_a_work_array(self, monkeypatch):
         shapes = {}

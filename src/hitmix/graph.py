@@ -53,16 +53,25 @@ class Graph:
         # A's entries in CSR order are the runs of the sorted keys row << 32 | col
         # of both directions; a run's length is the entry's multiplicity, and a
         # row's sum of run lengths, exact in float64, is the vertex's degree.
-        keys = np.sort(np.concatenate([u << 32 | v, v << 32 | u]))
-        # Run starts: the first key, if any, and each key unlike the one before.
-        first = np.flatnonzero(np.concatenate([keys[:1] >= 0, keys[1:] != keys[:-1]]))
-        counts = np.diff(first, append=keys.size).astype(np.float64)
-        entries = keys[first]
-        del keys, first     # before the CSR arrays are made
-        indptr = np.append(0, np.bincount(entries >> 32, minlength=n_vertices).cumsum())
-        degrees = np.bincount(entries >> 32, weights=counts, minlength=n_vertices).astype(np.float64)
-        adjacency = sp.csr_matrix((counts, entries & 0xFFFFFFFF, indptr),
-                                  shape=(n_vertices, n_vertices))
+        # Each array is freed once unneeded: at most three as large as the keys live.
+        keys = np.empty(2 * u.size, dtype=np.int64)
+        np.left_shift(u, 32, out=keys[:u.size])
+        np.left_shift(v, 32, out=keys[u.size:])
+        keys[:u.size] |= v
+        keys[u.size:] |= u
+        keys.sort()
+        # Run starts (the first key and each unlike the one before), then keys.size.
+        first = np.flatnonzero(np.concatenate([keys[:1] >= 0, keys[1:] != keys[:-1], [True]]))
+        entries = keys[first[:-1]]
+        del keys
+        counts = np.subtract(first[1:], first[:-1], out=np.empty(entries.size))
+        del first
+        rows = entries >> 32
+        indptr = np.append(0, np.bincount(rows, minlength=n_vertices).cumsum())
+        degrees = np.bincount(rows, counts, n_vertices).astype(np.float64, copy=False)
+        del rows    # before the CSR arrays are made
+        entries &= 0xFFFFFFFF
+        adjacency = sp.csr_matrix((counts, entries, indptr), shape=(n_vertices, n_vertices))
         adjacency.data.flags.writeable = False
         degrees.flags.writeable = False
         return cls(n_vertices, adjacency, degrees)

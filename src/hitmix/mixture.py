@@ -174,9 +174,9 @@ def _em_fit_batch(samples: list[VertexSamples], g: int, cfg: HitmixConfig,
     is one stacked (g x 3) @ (3 x n) product, reduced over the g rows into
     responsibilities, and the M-step reads resp @ [1, s1, s2]. The runs are
     zero-padded to the longest, n_max, and work is a scratch C-contiguous
-    float64 (R, g + 2, n_max) array: per run, rows [:g] hold the
-    E-step and then the responsibilities, row g the per-vertex max and row
-    g + 1 the total. The parameter step runs on (R, g) arrays. A run leaves
+    float64 (g + 2, R, n_max) array: work[:g] holds the E-step and then the
+    responsibilities, work[g] the per-vertex max and work[g + 1] the total.
+    The parameter step runs on (R, g) arrays. A run leaves
     the batch when it converges, collapses or reaches em_max_iters, and the
     rest are compacted. Each fit is bit for bit what it is alone: padded
     vertices add exact zeros to the M-step, and each run's log-likelihood is
@@ -222,7 +222,7 @@ def _em_fit_batch(samples: list[VertexSamples], g: int, cfg: HitmixConfig,
     def leave(rows, it, converged, mus, sigma2s, pis, last):
         # at[r] is where row r's responsibilities lie in work.
         for r in rows:
-            resp = work[at[r], :g, :ns[r]]
+            resp = work[:g, at[r], :ns[r]]
             out[ids[r]] = MixtureFit(
                 g, [LognormalParams(mu, s2) for mu, s2 in zip(mus[r].tolist(), sigma2s[r].tolist())],
                 pis[r].copy(), (resp if last else resp.copy()).T, histories[r][-1], histories[r],
@@ -233,18 +233,18 @@ def _em_fit_batch(samples: list[VertexSamples], g: int, cfg: HitmixConfig,
         # E-step in log space, shifted by the per-vertex maximum, in place.
         r = ns.size
         at = range(r)
-        joint, top, total = work[:r, :g], work[:r, g], work[:r, g + 1]
+        joint, top, total = work[:g, :r], work[g, :r], work[g + 1, :r]
         w_r = w[:r]
         w_r[:, 0] = -0.5 * m * np.log(2.0 * np.pi * sigma2s) - m * (mus * mus) / (2.0 * sigma2s)
         np.divide(mus, sigma2s, out=w_r[:, 1])
         np.divide(-0.5, sigma2s, out=w_r[:, 2])
-        np.matmul(w_r.transpose(0, 2, 1), stats_t, out=joint)
-        joint += np.log(pis)[:, :, None]
-        np.maximum.reduce(joint, axis=1, out=top)
-        joint -= top[:, None]
+        np.matmul(w_r.transpose(0, 2, 1), stats_t, out=joint.transpose(1, 0, 2))
+        joint += np.log(pis).T[:, :, None]
+        np.maximum.reduce(joint, axis=0, out=top)
+        joint -= top
         np.exp(joint, out=joint)
-        np.add.reduce(joint, axis=1, out=total)
-        joint /= total[:, None]
+        np.add.reduce(joint, axis=0, out=total)
+        joint /= total
         np.log(total, out=total)
         total += top
         ll_new = np.concatenate([total[a:b, :n].sum(axis=1) for a, b, n in spans])
@@ -260,7 +260,7 @@ def _em_fit_batch(samples: list[VertexSamples], g: int, cfg: HitmixConfig,
         # M-step. Under OpenBLAS this form rounds like the product over an
         # (n, g) layout that fixed-seed outputs were made with; resp @ stats
         # rounds differently at g = 2 and 3.
-        sums = np.matmul(stats.transpose(0, 2, 1), joint.transpose(0, 2, 1))
+        sums = np.matmul(stats.transpose(0, 2, 1), joint.transpose(1, 2, 0))
         new_pis = sums[:, 0] / ns[:, None]
         leaving = converged | (new_pis < _COLLAPSE_EPS).any(axis=1)
         last = it == cfg.em_max_iters
@@ -308,7 +308,7 @@ def fit_candidates(samples: list[VertexSamples], cfg: HitmixConfig
     rows = {g: [i for i, n in enumerate(sizes) if g <= n]
             for g in sorted(cfg.g_candidates, reverse=True)}
     calls = {g: partial(_em_fit_batch, [samples[i] for i in idx], g, cfg,
-                        np.empty((len(idx), g + 2, max(sizes[i] for i in idx))))
+                        np.empty((g + 2, len(idx), max(sizes[i] for i in idx))))
              for g, idx in rows.items() if idx}
     workers = min(len(calls), os.cpu_count() or 1) if len(calls) > 1 else 1
     if workers > 1:

@@ -14,6 +14,7 @@ from itertools import accumulate
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools as st
 
 from .graph import Graph, SeedSet, reachable_from
 from .solver import CgConfig, CgStats, HitmixError, _cg, one_or_raise
@@ -22,6 +23,7 @@ from .solver import CgConfig, CgStats, HitmixError, _cg, one_or_raise
 # that saves scipy and CG per-call costs on small instances, but from 800
 # vertices per instance the union measured slower than solving each alone.
 _GROUP_VERTICES = 1500
+_H_BLOCK = 4096     # rows of H per block; a block reuses the heap its predecessor freed
 
 
 class MomentConvergenceError(HitmixError):
@@ -45,17 +47,36 @@ class MomentTable:
 
 
 def restricted_laplacian(graph: Graph, vertices: np.ndarray) -> sp.csr_matrix:
-    """CSR H = I - D^{-1/2} A D^{-1/2} over a vertex subset. Off-diagonal entries
-    round as (d_i a_ij) d_j, the order that fixed-seed outputs were made with."""
+    """CSR H = I - D^{-1/2} A D^{-1/2} over an ascending vertex subset v, by the kernels of
+    scipy's I - d A[v][:, v] d, _H_BLOCK rows at a time; entries round as (d_i a_ij) d_j."""
     deg = graph.degrees[vertices]
     if vertices.size and deg.min() <= 0:
         raise ValueError("subset contains an isolated vertex (degree 0); "
                          "filter unreachable vertices first")
-    inv_sqrt_deg = 1.0 / np.sqrt(deg)
-    a = graph.adjacency[vertices][:, vertices]  # a fresh, writeable copy
-    a.data *= np.repeat(inv_sqrt_deg, np.diff(a.indptr))
-    a.data *= inv_sqrt_deg[a.indices]
-    return sp.identity(vertices.size, format="csr") - a
+    d, a, k = 1.0 / np.sqrt(deg), graph.adjacency, vertices.size
+    idx = sp.get_index_dtype((a.indptr, a.indices), maxval=a.nnz + k)
+    ap, aj, v = (x.astype(idx, copy=False) for x in (a.indptr, a.indices, vertices))
+    # Once for all blocks: where A's columns go in A[v][:, v] and its rows start.
+    offsets, starts = np.zeros(graph.n_vertices, idx), np.empty(graph.n_vertices + 1, idx)
+    st.csr_column_index1(k, v, *a.shape, ap, aj, offsets, starts)
+    starts, order = np.append(0, np.diff(starts)[v].cumsum()), np.argsort(v).astype(idx)
+    indptr, indices, data = np.zeros(k + 1, idx), np.empty(0, idx), np.empty(0)
+    for lo in range(0, k, _H_BLOCK):
+        rows, bp = v[lo:lo + _H_BLOCK], (starts[lo:lo + _H_BLOCK + 1] - starts[lo]).astype(idx)
+        m, nnz = rows.size, (ap[rows + 1] - ap[rows]).sum()
+        bj, bx, cj, cx = np.empty(nnz, idx), np.empty(nnz), np.empty(bp[-1], idx), np.empty(bp[-1])
+        st.csr_row_index(m, rows, ap, aj, a.data, bj, bx)               # A[rows]
+        st.csr_column_index2(order, offsets, nnz, bj, bx, cj, cx)       # A[rows][:, v]
+        del bj, bx          # before the scaling's temporaries and H's arrays
+        cx *= np.repeat(d[lo:lo + m], np.diff(bp))
+        cx *= d.take(cj)
+        if not lo:          # room for A[v][:, v] and I's diagonal, made once A[rows] is freed
+            indices, data = np.empty(starts[-1] + k, idx), np.empty(starts[-1] + k)
+        at = indptr[lo]     # csr_minus_csr writes the block's indptr from 0
+        st.csr_minus_csr(m, k, np.arange(m + 1, dtype=idx), np.arange(lo, lo + m, dtype=idx),
+                         np.ones(m), bp, cj, cx, indptr[lo:lo + m + 1], indices[at:], data[at:])
+        indptr[lo:lo + m + 1] += at
+    return sp.csr_matrix((data[:indptr[-1]], indices[:indptr[-1]], indptr), shape=(k, k))
 
 
 def _failure(order: int, stats: CgStats | HitmixError) -> HitmixError | None:

@@ -186,6 +186,20 @@ def test_bulk_parse_scratch_does_not_grow_with_the_text(monkeypatch):
     assert large < 2 * small
 
 
+def test_from_edges_scratch_is_three_times_the_keys():
+    # The build sorts 2m keys of 8 bytes. Beside them it holds at most one
+    # array of the entries and one of their run starts or lengths, and the
+    # graph it returns is smaller than the keys: 3.1 times the keys' bytes
+    # here. Sorting a copy of concatenated keys, or holding the keys beside
+    # the entries, run starts and lengths, takes the peak to 4 times them.
+    rng = np.random.default_rng(2)
+    n, m = 50_000, 400_000
+    u, v = rng.integers(0, n, m), rng.integers(0, n, m)
+    g, peak = traced_peak(Graph.from_edges, n, u, v)
+    assert g.degrees.sum() == 2 * m
+    assert peak < 3.5 * (2 * m * 8)
+
+
 @settings(max_examples=200, deadline=None)
 @given(n=st.integers(1, 12), pairs=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)),
                                            max_size=40))

@@ -52,7 +52,7 @@ def fit_bits(fit_fn, samples, g, cfg):
 
 def fit_one(samples, g, cfg=None):
     """_em_fit_batch on one run in a fresh work array; raises its collapse."""
-    work = np.empty((1, g + 2, samples.s1.size))
+    work = np.empty((g + 2, 1, samples.s1.size))
     return one_or_raise(_em_fit_batch([samples], g, cfg or HitmixConfig(), work))
 
 
@@ -264,7 +264,7 @@ class TestEmFit:
     def test_fit_runs_in_the_given_work_array(self):
         vs = synthetic_samples([0.0, 2.0, 4.0], 0.3, 40, 15, seed=2)
         g, n, cfg = 3, vs.s1.size, HitmixConfig()
-        work = np.empty((1, g + 2, n))
+        work = np.empty((g + 2, 1, n))
         (fit,), want = _em_fit_batch([vs], g, cfg, work), reference_em_fit(vs, g, cfg)
         assert np.shares_memory(fit.responsibilities, work)
         assert fit.responsibilities.shape == (n, g)
@@ -341,7 +341,7 @@ class TestEmFitBatch:
 
     def test_runs_that_leave_early_own_their_responsibilities(self):
         # They converge after 7, 4 and 11 iterations; only the last one's
-        # responsibilities stay a view of the batch's (R, g + 2, n_max) work.
+        # responsibilities stay a view of the batch's (g + 2, R, n_max) work.
         samples = [random_samples(120, 25, 2, 0), random_samples(90, 25, 2, 1),
                    random_samples(60, 25, 2, 0)]
         fits = batch_fits(samples, 2, HitmixConfig())
@@ -582,7 +582,7 @@ class TestHitmix:
         seeds = sample_hitting_set(labels, 15, rng)
         hitmix(graph, seeds, HitmixConfig(rng_seed=4))
         assert set(shapes) == {2, 3, 4, 5}
-        assert all(shape == (1, g + 2, n) for g, (shape, n) in shapes.items())
+        assert all(shape == (g + 2, 1, n) for g, (shape, n) in shapes.items())
 
 
 class TestHitmixConfig:

@@ -1,9 +1,13 @@
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import hitmix.moments
 import hitmix.solver
 import oracles
 from hitmix.graph import Graph, SeedSet, load_edge_list, reachable_from
@@ -63,20 +67,68 @@ class TestApply:
         # different multiply order would round some entries differently.
         rng = np.random.default_rng(seed)
         n = int(rng.integers(5, 60))
-        u, v = rng.integers(0, n, 3 * n), rng.integers(0, n, 3 * n)
-        repeat = rng.integers(0, u.size, n)
-        u = np.concatenate([u, u[repeat], u[repeat], np.arange(0, n, 4)])
-        v = np.concatenate([v, v[repeat], v[repeat], np.arange(0, n, 4)])
-        g = Graph.from_edges(n, u, v)
+        g = repeated_pairs_graph(n, rng)
+        assert_equals_diagonal_scaling_product(g, np.flatnonzero((g.degrees > 0) & (rng.random(n) < 0.8)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 40), block=st.integers(1, 9), seed=st.integers(0, 2 ** 32 - 1))
+    def test_bits_at_block_seams(self, n, block, seed):
+        # H is written a block of rows at a time; small blocks put seams
+        # between rows of every kind, including rows that keep no entry.
+        rng = np.random.default_rng(seed)
+        g = repeated_pairs_graph(n, rng)
         vertices = np.flatnonzero((g.degrees > 0) & (rng.random(n) < 0.8))
-        d = sp.diags(1.0 / np.sqrt(g.degrees[vertices].astype(np.float64)))
-        a_sub = g.adjacency[vertices][:, vertices].astype(np.float64)
-        ref = (sp.identity(vertices.size, format="csr") - d @ a_sub @ d).tocsr()
-        h = restricted_laplacian(g, vertices)
-        assert h.format == "csr"
-        assert np.array_equal(h.indptr, ref.indptr)
-        assert np.array_equal(h.indices, ref.indices)
-        assert h.data.tobytes() == ref.data.tobytes()
+        with mock.patch.object(hitmix.moments, "_H_BLOCK", block):
+            assert_equals_diagonal_scaling_product(g, vertices)
+
+    def test_bits_over_three_full_blocks(self):
+        rng = np.random.default_rng(11)
+        n = 20_000
+        g = repeated_pairs_graph(n, rng)
+        vertices = np.flatnonzero((g.degrees > 0) & (rng.random(n) < 0.9))
+        assert vertices.size > 3 * hitmix.moments._H_BLOCK
+        assert_equals_diagonal_scaling_product(g, vertices)
+
+    def test_empty_subset(self):
+        g = repeated_pairs_graph(5, np.random.default_rng(0))
+        h = assert_equals_diagonal_scaling_product(g, np.empty(0, dtype=np.int64))
+        assert h.shape == (0, 0)
+
+    @pytest.mark.parametrize("blocks, bound", [(8, 1.85), (1, 2.6)])
+    def test_scratch_is_a_fraction_of_h(self, blocks, bound):
+        # Beside H the build holds one block's rows and a few arrays of n
+        # entries: on 8 blocks, 1.60 times H's bytes in all. Copies of
+        # A[v][:, v] and of its scaled form take the peak to 2.15 times them.
+        # On one block, H's arrays are made once the block's A[rows] is
+        # freed: 2.39 times H, where making them first holds 3.36 times H.
+        rng = np.random.default_rng(4)
+        n = blocks * hitmix.moments._H_BLOCK
+        g = Graph.from_edges(n, rng.integers(0, n, 5 * n), rng.integers(0, n, 5 * n))
+        h, peak = oracles.traced_peak(restricted_laplacian, g, np.flatnonzero(g.degrees > 0))
+        assert peak < bound * (h.indptr.nbytes + h.indices.nbytes + h.data.nbytes)
+
+
+def repeated_pairs_graph(n, rng):
+    """A multigraph on n vertices: 3n random pairs, n of them twice more, and
+    a self-loop at every 4th vertex."""
+    u, v = rng.integers(0, n, 3 * n), rng.integers(0, n, 3 * n)
+    repeat = rng.integers(0, u.size, n)
+    u = np.concatenate([u, u[repeat], u[repeat], np.arange(0, n, 4)])
+    v = np.concatenate([v, v[repeat], v[repeat], np.arange(0, n, 4)])
+    return Graph.from_edges(n, u, v)
+
+
+def assert_equals_diagonal_scaling_product(g, vertices):
+    """restricted_laplacian(g, vertices) is scipy's I - d A[v][:, v] d in
+    indptr, in indices' values and dtype and in data's bytes; returns it."""
+    d = sp.diags(1.0 / np.sqrt(g.degrees[vertices]))
+    ref = (sp.identity(vertices.size, format="csr") - d @ g.adjacency[vertices][:, vertices] @ d).tocsr()
+    h = restricted_laplacian(g, vertices)
+    assert h.format == "csr"
+    assert np.array_equal(h.indptr, ref.indptr)
+    assert h.indices.dtype == ref.indices.dtype and np.array_equal(h.indices, ref.indices)
+    assert h.data.tobytes() == ref.data.tobytes()
+    return h
 
 
 def random_csr(rng, n, index_dtype):

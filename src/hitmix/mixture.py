@@ -18,8 +18,8 @@ from functools import cached_property, partial
 import numpy as np
 
 from .graph import Graph, SeedSet
-from .moments import MomentTable, compute_moments_batch
-from .solver import CgConfig, HitmixError, one_or_raise
+from .moments import MomentTable, compute_moments
+from .solver import CgConfig, HitmixError
 
 log = logging.getLogger(__name__)
 
@@ -355,27 +355,20 @@ def select_membership(moments: MomentTable, fits: dict[int, MixtureFit | EmColla
 def hitmix_batch(instances: Iterable[tuple[Graph, SeedSet, int]], cfg: HitmixConfig
                  ) -> Iterator[MembershipResult | HitmixError | ValueError]:
     """hitmix over (graph, seeds, rng_seed) instances, each with its rng_seed in
-    place of cfg.rng_seed: compute_moments_batch -> draw_pseudo_samples ->
-    fit_candidates over all instances. Yields, per instance in input order, its
-    MembershipResult or the error hitmix raises for it; its select_membership,
-    and so its warnings, come when it is yielded."""
-    rng_seeds = []
-
-    def pairs():
-        for graph, seeds, rng_seed in instances:
-            rng_seeds.append(rng_seed)
-            yield graph, seeds
-
-    tables = compute_moments_batch(pairs(), cfg.cg)
-    samples = []
-    for table, rng_seed in zip(tables, rng_seeds):
+    place of cfg.rng_seed: compute_moments -> draw_pseudo_samples per instance
+    as it is read, so that the fits keep its table and samples but not its
+    graph, then fit_candidates over all instances. Yields, per instance in
+    input order, its MembershipResult or the error hitmix raises for it; its
+    select_membership, and so its warnings, come when it is yielded."""
+    done = []   # per instance: (its table, its samples) or (None, its error)
+    for graph, seeds, rng_seed in instances:
         try:
-            samples.append(table if isinstance(table, Exception)
-                           else draw_pseudo_samples(table, cfg.m, rng_seed))
+            table = compute_moments(graph, seeds, cfg.cg)
+            done.append((table, draw_pseudo_samples(table, cfg.m, rng_seed)))
         except (HitmixError, ValueError) as exc:
-            samples.append(exc)
-    fits = iter(fit_candidates([s for s in samples if isinstance(s, VertexSamples)], cfg))
-    for table, result in zip(tables, samples):
+            done.append((None, exc))
+    fits = iter(fit_candidates([s for _, s in done if isinstance(s, VertexSamples)], cfg))
+    for table, result in done:
         if isinstance(result, VertexSamples):
             try:
                 result = select_membership(table, next(fits), cfg)
@@ -389,4 +382,7 @@ def hitmix(graph: Graph, seeds: SeedSet, cfg: HitmixConfig | None = None) -> Mem
     with cfg.rng_seed. Raises the error it yields."""
     if cfg is None:
         cfg = HitmixConfig()
-    return one_or_raise(hitmix_batch([(graph, seeds, cfg.rng_seed)], cfg))
+    result, = hitmix_batch([(graph, seeds, cfg.rng_seed)], cfg)
+    if isinstance(result, Exception):
+        raise result
+    return result

@@ -8,21 +8,15 @@ coefficient matrix H = I - D^{-1/2} A D^{-1/2} is SPD, then mapped back.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import _sparsetools as st
 
 from .graph import Graph, SeedSet, reachable_from
-from .solver import CgConfig, CgStats, HitmixError, _cg, one_or_raise
+from .solver import CgConfig, CgStats, HitmixError, _cg
 
-# compute_moments_batch solves groups of about this many vertices on one union:
-# that saves scipy and CG per-call costs on small instances, but from 800
-# vertices per instance the union measured slower than solving each alone.
-_GROUP_VERTICES = 1500
 _H_BLOCK = 4096     # rows of H per block; a block reuses the heap its predecessor freed
 
 
@@ -79,106 +73,34 @@ def restricted_laplacian(graph: Graph, vertices: np.ndarray) -> sp.csr_matrix:
     return sp.csr_matrix((data[:indptr[-1]], indices[:indptr[-1]], indptr), shape=(k, k))
 
 
-def _failure(order: int, stats: CgStats | HitmixError) -> HitmixError | None:
-    """The error of a moment solve that broke down or did not converge, else None."""
-    if isinstance(stats, HitmixError):
-        return stats
-    return None if stats.converged else MomentConvergenceError(order, stats)
-
-
 def compute_moments(graph: Graph, seeds: SeedSet,
                     cfg: CgConfig | None = None) -> MomentTable:
-    """Solve the E T and E T^2 systems and assemble mean/variance: the
-    one-instance call of compute_moments_batch. Raises the error it returns."""
-    return one_or_raise(compute_moments_batch([(graph, seeds)], cfg))
-
-
-def _join(instances: list[tuple[Graph, SeedSet]]) -> tuple[Graph, SeedSet, list[int]]:
-    """The instances as one block-diagonal graph and its seed set, with vertex
-    ids offset per instance, and where each instance's rows of the joined
-    seeds.complement start. A lone instance is returned as it is."""
-    offsets = list(accumulate((s.complement.size for _, s in instances), initial=0))
-    if len(instances) == 1:
-        return *instances[0], offsets
-    n, nnz = 0, 0
-    indptr, indices, members, complement = [], [], [], []
-    for graph, seeds in instances:
-        a = graph.adjacency
-        indptr.append(a.indptr[:-1] + nnz)
-        indices.append(a.indices + n)
-        members += [m + n for m in seeds.members]
-        complement.append(seeds.complement + n)
-        n, nnz = n + graph.n_vertices, nnz + a.nnz
-    # Offset canonical blocks stay canonical, and their float64 data read-only.
-    data = np.concatenate([g.adjacency.data for g, _ in instances])
-    adjacency = sp.csr_matrix((data, np.concatenate(indices), np.concatenate(indptr + [[nnz]])),
-                              shape=(n, n))
-    degrees = np.concatenate([g.degrees for g, _ in instances])
-    data.flags.writeable = degrees.flags.writeable = False
-    return (Graph(n, adjacency, degrees), SeedSet(frozenset(members), np.concatenate(complement)),
-            offsets)
-
-
-def compute_moments_batch(instances: Iterable[tuple[Graph, SeedSet]], cfg: CgConfig | None = None
-                          ) -> list[MomentTable | HitmixError | ValueError]:
-    """compute_moments over (graph, seeds) instances: per instance, in input
-    order, its MomentTable or the error compute_moments raises for it.
-
-    Consecutive instances are read and solved a group at a time: a group is
-    solved, and its graphs let go, once one more instance as large as its last
-    would take it past _GROUP_VERTICES vertices, so equal instances of n
-    vertices go max(1, _GROUP_VERTICES // n) to a group. A group is joined into
-    one block-diagonal graph, so one reachable_from and one restricted_laplacian
-    serve it. Each instance's H is a diagonal block of the joined one, entry for
-    entry; its two moment solves run on that block alone (the second only if
-    the first converges), so each table is what compute_moments gives alone.
-    """
+    """Solve the E T and E T^2 systems over the non-seed vertices that reach
+    the seeds and assemble mean/variance. Raises ValueError if none does,
+    NonSpdError if a solve breaks down and MomentConvergenceError if one does
+    not converge (moment 2 is solved only if moment 1 converges)."""
     if cfg is None:
         cfg = CgConfig()
-    out, group, n = [], [], 0
-    for graph, seeds in instances:
-        group.append((graph, seeds))
-        n += graph.n_vertices
-        if n + graph.n_vertices > _GROUP_VERTICES:
-            out += _solve_group(group, cfg)
-            group, n = [], 0
-    return out + _solve_group(group, cfg) if group else out
-
-
-def _solve_group(instances: list[tuple[Graph, SeedSet]], cfg: CgConfig) -> list:
-    """compute_moments_batch over one group, on its block-diagonal union."""
-    graph, seeds, starts = _join(instances)
     reachable = reachable_from(graph, seeds)
     vertices = seeds.complement[reachable]
+    if not vertices.size:
+        raise ValueError("no non-seed vertex can reach the seed set")
     h = restricted_laplacian(graph, vertices)
-    sqrt_deg = np.sqrt(graph.degrees[vertices])
-    out, hi = [], 0
-    for (_, s), start, end in zip(instances, starts, starts[1:]):
-        mask = reachable[start:end]
-        lo, hi = hi, hi + int(np.count_nonzero(mask))
-        if lo == hi:
-            out.append(ValueError("no non-seed vertex can reach the seed set"))
-            continue
-        # The instance's block of H: its rows, with column ids shifted to 0..n-1.
-        indptr, d = h.indptr[lo:hi + 1], sqrt_deg[lo:hi]
-        h.indices[indptr[0]:indptr[-1]] -= lo
-        x1, x2 = np.zeros(hi - lo), np.empty(hi - lo)
-        # Moment 2's rhs, 2x - b in symmetrized coordinates, lies in moment 1's
-        # Krylov space; moment 2 starts from its Galerkin start there.
-        st1 = _cg(indptr, h.indices, h.data, d, x1, cfg, galerkin=x2)
-        error = _failure(1, st1)
-        if error is None:
-            et1 = x1 / d
-            # (I - P) E T = 1 turns P E T into E T - 1, so this right-hand side
-            # 1 + 2 P E T needs no graph.
-            st2 = _cg(indptr, h.indices, h.data, d * (1.0 + 2.0 * (et1 - 1.0)), x2, cfg)
-            error = _failure(2, st2)
-        if error is not None:
-            out.append(error)
-            continue
-        mean, variance = np.full((2, s.complement.size), np.nan)
-        mean[mask] = et1
-        # Tiny negatives from solver tolerance are clamped to zero.
-        variance[mask] = np.maximum(x2 / d - et1 ** 2, 0.0)
-        out.append(MomentTable(s.complement, mean, variance, mask, [st1, st2]))
-    return out
+    d = np.sqrt(graph.degrees[vertices])
+    x1, x2 = np.zeros(vertices.size), np.empty(vertices.size)
+    # Moment 2's rhs, 2x - b in symmetrized coordinates, lies in moment 1's
+    # Krylov space; moment 2 starts from its Galerkin start there.
+    st1 = _cg(h.indptr, h.indices, h.data, d, x1, cfg, galerkin=x2)
+    if not st1.converged:
+        raise MomentConvergenceError(1, st1)
+    et1 = x1 / d
+    # (I - P) E T = 1 turns P E T into E T - 1, so this right-hand side
+    # 1 + 2 P E T needs no graph.
+    st2 = _cg(h.indptr, h.indices, h.data, d * (1.0 + 2.0 * (et1 - 1.0)), x2, cfg)
+    if not st2.converged:
+        raise MomentConvergenceError(2, st2)
+    mean, variance = np.full((2, seeds.complement.size), np.nan)
+    mean[reachable] = et1
+    # Tiny negatives from solver tolerance are clamped to zero.
+    variance[reachable] = np.maximum(x2 / d - et1 ** 2, 0.0)
+    return MomentTable(seeds.complement, mean, variance, reachable, [st1, st2])

@@ -44,14 +44,6 @@ class NonSpdError(HitmixError):
     """
 
 
-def one_or_raise(results):
-    """The one result of a batch call on one item; raised if it is an error."""
-    result, = results
-    if isinstance(result, Exception):
-        raise result
-    return result
-
-
 # A normwise backward error ||b - Hx|| / (||H|| ||x|| + ||b||) of 16 eps is the
 # double-precision floor of CG (Meurant & Strakos 2006): the true residual of a
 # 2000-vertex path stalls near 6 eps. ||H|| <= 2, as A_hat has spectrum in [-1, 1].
@@ -83,17 +75,14 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _cg(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, b: np.ndarray,
-        x: np.ndarray, cfg: CgConfig, galerkin: np.ndarray | None = None
-        ) -> CgStats | NonSpdError:
+        x: np.ndarray, cfg: CgConfig, galerkin: np.ndarray | None = None) -> CgStats:
     """Solve H x = b with textbook (Hestenes-Stiefel) conjugate gradients from
-    x, unchecked; moments._solve_group calls it for both moments of each
-    instance. indptr, indices and data are the CSR arrays of an n x n matrix
-    H, n = b.size, whose column ids lie in 0..n-1 (indptr may be a slice of a
-    longer array, and its offsets point into indices and data), b is a finite
-    float64 vector and x a float64 n-vector. The solve starts from x, with
-    r = b - Hx (from 0, b's bits), writes its result into x and returns its
-    CgStats, or the NonSpdError of its breakdown. Converged means the true
-    residual, relative to ||b||, is within cfg.rel_tol or at the
+    x, unchecked; moments.compute_moments calls it for both moments. indptr,
+    indices and data are the CSR arrays of an n x n matrix H, n = b.size, b is
+    a finite float64 vector and x a float64 n-vector. The solve starts from x,
+    with r = b - Hx (from 0, b's bits), writes its result into x and returns
+    its CgStats; it raises NonSpdError if it breaks down. Converged means the
+    true residual, relative to ||b||, is within cfg.rel_tol or at the
     double-precision floor; its ||x|| bound starts at ||x||.
 
     A step is one csr_matvec, the fused updates x += alpha p and r -= alpha Hp
@@ -102,12 +91,12 @@ def _cg(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, b: np.ndarray
     _PIECE entries cut from the vector's start, and a dot product sums its
     pieces in order, so the bits do not depend on the BLAS thread count.
 
-    With galerkin, an n-vector, a solve from 0 writes there, if it converges
-    (else 0), the Galerkin start sum_i p_i (p_i.c) / (p_i.Hp_i) of H y = c =
-    2x - b over its directions p_i. In exact arithmetic p_i.b = rr_i and
-    p_k.p_i = (rr_i / rr_k) pp_k for k <= i, so p_i.c = 2 rr_i C_i - rr_i +
-    2 (pp_i / rr_i) (B - B_i), with C_i and B_i the sums of alpha_k pp_k / rr_k
-    and alpha_k rr_k over k < i, and B the final B_i. B enters linearly, so two
+    With galerkin, an n-vector, a solve from 0 that returns writes there, if
+    it converges (else 0), the Galerkin start sum_i p_i (p_i.c) / (p_i.Hp_i)
+    of H y = c = 2x - b over its directions p_i. In exact arithmetic
+    p_i.b = rr_i and p_k.p_i = (rr_i / rr_k) pp_k for k <= i, so p_i.c =
+    2 rr_i C_i - rr_i + 2 (pp_i / rr_i) (B - B_i), with C_i and B_i the sums
+    of alpha_k pp_k / rr_k and alpha_k rr_k over k < i, and B the final B_i. B enters linearly, so two
     accumulators u and v give the start u + B v with no stored direction and no
     dot product (Erhel & Guyomarc'h, SIAM J. Matrix Anal. Appl. 21(4), 2000).
     """
@@ -135,8 +124,7 @@ def _cg(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, b: np.ndarray
         # A vanishing Rayleigh quotient means p sits in a numerical nullspace
         # (unreachable vertices make the operator singular).
         if not math.isfinite(php) or php <= 1e-14 * pp:
-            result = NonSpdError(_BREAKDOWN)
-            break
+            raise NonSpdError(_BREAKDOWN)
         alpha = rr / php
         x_bound += abs(alpha) * math.sqrt(pp)
         if galerkin is not None:
@@ -158,8 +146,7 @@ def _cg(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, b: np.ndarray
                 daxpy(p_, v_, m, cv)
             rr_new += ddot(r_, r_)
         if not math.isfinite(rr_new):
-            result = NonSpdError("non-finite residual in conjugate gradient")
-            break
+            raise NonSpdError("non-finite residual in conjugate gradient")
         # The recursive residual drifts from the true one in finite
         # precision, so it only triggers the check of the true residual. At
         # exactly 0 it leaves no next direction (p = 0), and the budget
@@ -185,6 +172,6 @@ def _cg(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, b: np.ndarray
             daxpy(r_, p_, m, 1.0)
     if galerkin is not None:
         start = u + sum_b * v
-        kept = isinstance(result, CgStats) and result.converged and np.isfinite(start).all()
+        kept = result.converged and np.isfinite(start).all()
         galerkin[:] = start if kept else 0.0
     return result

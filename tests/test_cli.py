@@ -387,7 +387,7 @@ def test_repeated_clusters_fail_before_any_solve(workdir, caplog, monkeypatch, c
     # stops the command before it reads the graph, solves moments or samples an SBM.
     calls = []
     monkeypatch.setattr(hitmix.cli, "load_edge_list", lambda *a: calls.append(a))
-    monkeypatch.setattr(hitmix.mixture, "compute_moments_batch", lambda *a: calls.append(a))
+    monkeypatch.setattr(hitmix.mixture, "compute_moments", lambda *a: calls.append(a))
     monkeypatch.setattr(hitmix.sbm, "sample_sbm", lambda *a: calls.append(a))
     cfg = workdir / "sim.cfg"
     cfg.write_text("sweep = p_in\nvalues = 0.3\nseed = 1\n"
@@ -405,7 +405,7 @@ def test_repeated_clusters_fail_before_any_solve(workdir, caplog, monkeypatch, c
 
 def test_expand_unparsable_clusters_named_before_any_solve(workdir, caplog, monkeypatch):
     calls = []
-    monkeypatch.setattr(hitmix.mixture, "compute_moments_batch", lambda *a: calls.append(a))
+    monkeypatch.setattr(hitmix.mixture, "compute_moments", lambda *a: calls.append(a))
     out = workdir / "o.tsv"
     assert run(["expand", "--graph", str(workdir / "g.txt"), "--seeds", str(workdir / "s.txt"),
                 "--clusters", "2,x", "--seed", "1", "--out", str(out)]) == 2
@@ -418,7 +418,7 @@ def test_expand_unparsable_clusters_named_before_any_solve(workdir, caplog, monk
 @pytest.mark.parametrize("em_tol", ["-1", "nan"])
 def test_bad_em_tol_fails_before_any_solve(workdir, caplog, monkeypatch, em_tol):
     calls = []
-    monkeypatch.setattr(hitmix.mixture, "compute_moments_batch", lambda *a: calls.append(a))
+    monkeypatch.setattr(hitmix.mixture, "compute_moments", lambda *a: calls.append(a))
     out = workdir / "o.tsv"
     assert run(["expand", "--graph", str(workdir / "g.txt"), "--seeds", str(workdir / "s.txt"),
                 "--clusters", "2", "--seed", "1", "--em-tol", em_tol, "--out", str(out)]) == 2
@@ -559,7 +559,7 @@ def _unconverged_cg(indptr, indices, data, b, x, cfg, galerkin=None):
 
 
 def _non_spd_cg(indptr, indices, data, b, x, cfg, galerkin=None):
-    return NonSpdError("operator is not SPD")
+    raise NonSpdError("operator is not SPD")
 
 
 def _collapsed_fits(samples, g, cfg, work):

@@ -11,13 +11,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import lognorm
 
-from hitmix.graph import Graph, SeedSet, load_edge_list, reachable_from
+from hitmix.graph import Graph, SeedSet, load_edge_list
 from hitmix.mixture import (EmCollapseError, HitmixConfig, MomentTable,
                             VertexSamples, _em_fit_batch, bic, component_means,
                             draw_pseudo_samples, fit_candidates, hitmix,
                             hitmix_batch, lognormal_mom)
 from hitmix.moments import compute_moments
-from hitmix.solver import HitmixError, one_or_raise
+from hitmix.solver import HitmixError
 from oracles import reference_em_fit
 
 
@@ -53,7 +53,10 @@ def fit_bits(fit_fn, samples, g, cfg):
 def fit_one(samples, g, cfg=None):
     """_em_fit_batch on one run in a fresh work array; raises its collapse."""
     work = np.empty((g + 2, 1, samples.s1.size))
-    return one_or_raise(_em_fit_batch([samples], g, cfg or HitmixConfig(), work))
+    fit, = _em_fit_batch([samples], g, cfg or HitmixConfig(), work)
+    if isinstance(fit, EmCollapseError):
+        raise fit
+    return fit
 
 
 def lognormal_moments(mu, sigma2):
@@ -430,11 +433,10 @@ class TestHitmix:
         assert res.selected_g in (2, 3)
         assert set(res.bic_by_g) == {2, 3}
 
-    def test_batch_equals_one_instance_calls(self, monkeypatch, caplog):
-        # SBMs of 80 and 1,000 vertices fill one moment group and one of 600
-        # starts the next. In the edgeless graph the seed reaches no vertex; on
-        # the path it reaches 3 (fewer than g = 4 and 5), and across the one
-        # edge 1, which leaves no feasible g.
+    def test_batch_equals_one_instance_calls(self, caplog):
+        # SBMs of 80, 1,000, 600 and 80 vertices. In the edgeless graph the
+        # seed reaches no vertex; on the path it reaches 3 (fewer than g = 4
+        # and 5), and across the one edge 1, which leaves no feasible g.
         from hitmix.sbm import SbmConfig, sample_sbm, sample_hitting_set
         rng = np.random.default_rng(5)
         instances = []
@@ -452,13 +454,9 @@ class TestHitmix:
                 want.append(result_bits(exc))
         want_log = [(r.levelname, r.getMessage()) for r in caplog.records]
         caplog.clear()
-        solves = []
-        monkeypatch.setattr("hitmix.moments.reachable_from",
-                            lambda *args: solves.append(args) or reachable_from(*args))
         got = hitmix_batch([(g, s, i + 10) for i, (g, s) in enumerate(instances)], cfg)
         assert [result_bits(r) for r in got] == want
         assert [(r.levelname, r.getMessage()) for r in caplog.records] == want_log
-        assert len(solves) == 2
         assert want[4:] == [(ValueError, "no non-seed vertex can reach the seed set"),
                             want[5], (ValueError, "no feasible g candidate for this instance")]
         assert set(want[5][5]) == {2, 3}

@@ -3,16 +3,19 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import hitmix.mixture
 import hitmix.moments
 import hitmix.solver
 from hitmix.graph import Graph, SeedSet, load_edge_list, reachable_from
-from hitmix.moments import MomentConvergenceError, compute_moments, compute_moments_batch
+from hitmix.mixture import HitmixConfig, hitmix_batch
+from hitmix.moments import MomentConvergenceError, compute_moments
 from hitmix.sbm import SbmConfig, sample_hitting_set, sample_sbm
-from hitmix.solver import NonSpdError
+from hitmix.solver import HitmixError, NonSpdError
 from oracles import (barbell_graph, dense_moments, path3, random_connected,
                      simulate_hitting_times, splu_moments, tridiagonal_moments)
 
@@ -189,27 +192,50 @@ def assert_tables_equal(got, want):
     assert got.cg_stats == want.cg_stats
 
 
+def log_lines(caplog):
+    return [(r.levelname, r.getMessage()) for r in caplog.records]
+
+
+def assert_batch_equals_alone(instances, caplog, cfg=HitmixConfig(g_candidates=(2, 3))):
+    """hitmix_batch over instances, instance i with rng_seed 10 + i, yields for
+    each the error, or the table and posterior bytes, that hitmix gives it
+    alone, with the same log lines. Returns the results."""
+    want = []
+    for i, (g, seeds) in enumerate(instances):
+        try:
+            want.append(hitmix.mixture.hitmix(g, seeds, replace(cfg, rng_seed=10 + i)))
+        except (HitmixError, ValueError) as exc:
+            want.append(exc)
+    want_log = log_lines(caplog)
+    caplog.clear()
+    got = list(hitmix_batch([(g, s, 10 + i) for i, (g, s) in enumerate(instances)], cfg))
+    assert log_lines(caplog) == want_log
+    for result, alone in zip(got, want, strict=True):
+        if isinstance(alone, Exception):
+            assert type(result) is type(alone) and str(result) == str(alone)
+        else:
+            assert_tables_equal(result.moments, alone.moments)
+            assert result.posterior.tobytes() == alone.posterior.tobytes()
+    return got
+
+
 class TestComputeMomentsBatch:
-    """compute_moments_batch solves its instances on their block-diagonal union;
-    each result must be what compute_moments gives the instance alone."""
+    """hitmix_batch computes each instance's moments on its own graph: an
+    instance's error is its own, and each result is what hitmix gives the
+    instance alone."""
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_equals_one_instance_calls(self, seed):
+    def test_equals_one_instance_calls(self, seed, caplog):
         # The edgeless instance fails; in the last one most vertices are unreachable.
         instances = sbm_instances(seed, [0.3, 0.02, 0.1, 0.05, 0.2])
-        got = compute_moments_batch(instances)
-        assert len(got) == len(instances)
-        for (g, seeds), table in zip(instances, got):
-            try:
-                want = compute_moments(g, seeds)
-            except ValueError as exc:
-                assert type(table) is ValueError and str(table) == str(exc)
-                continue
-            assert_tables_equal(table, want)
+        got = assert_batch_equals_alone(instances, caplog)
+        assert type(got[-2]) is ValueError
         assert str(got[-2]) == "no non-seed vertex can reach the seed set"
-        assert not got[-1].reachable.all()
+        with pytest.raises(ValueError, match=f"^{re.escape(str(got[-2]))}$"):
+            compute_moments(*instances[-2])
+        assert not got[-1].moments.reachable.all()
 
-    def test_instance_failing_moment_1_skips_moment_2(self, monkeypatch):
+    def test_instance_failing_moment_1_skips_moment_2(self, monkeypatch, caplog):
         # The stop test never passes on the moment-1 rhs of instance 1, so its
         # first solve ends unconverged, and it gets no second solve.
         instances = sbm_instances(7, [0.3, 0.25, 0.2])
@@ -227,23 +253,21 @@ class TestComputeMomentsBatch:
             return real_cg(indptr, indices, data, b, x, cfg, **galerkin)
 
         monkeypatch.setattr(hitmix.moments, "_cg", spy)
-        got = compute_moments_batch(instances)
+        got = assert_batch_equals_alone(instances, caplog)
         # Two solves per instance with a table, one for instance 1, none for
         # instance 3, which reaches no vertex.
-        n = [int(t.reachable.sum()) for t in (got[0], got[2], got[4])]
-        assert sizes == [n[0], n[0], vertices.size, n[1], n[1], n[2], n[2]]
+        n = [int(got[i].moments.reachable.sum()) for i in (0, 2, 4)]
+        assert sizes[len(sizes) // 2:] == [n[0], n[0], vertices.size, n[1], n[1], n[2], n[2]]
         assert type(got[1]) is MomentConvergenceError and got[1].moment_order == 1
+        sizes.clear()
         with pytest.raises(MomentConvergenceError, match=f"^{re.escape(str(got[1]))}$"):
             compute_moments(g, seeds)
-        for i in (0, 2, 4):
-            assert_tables_equal(got[i], compute_moments(*instances[i]))
+        assert sizes == [vertices.size]
         assert type(got[3]) is ValueError
 
-    def test_blocks_longer_than_a_piece(self, monkeypatch):
-        # Instances of _PIECE + 1 and 2 _PIECE + 3 reachable vertices at
-        # non-zero offsets in one group, beside small ones: each table is the
-        # one the instance gets alone.
-        monkeypatch.setattr(hitmix.moments, "_GROUP_VERTICES", 10 ** 6)
+    def test_blocks_longer_than_a_piece(self, caplog):
+        # Instances of _PIECE + 1 and 2 _PIECE + 3 reachable vertices beside
+        # small ones: each result is the one the instance gets alone.
         rng = np.random.default_rng(0)
         instances = []
         for n in (40, hitmix.solver._PIECE + 1, 7, 2 * hitmix.solver._PIECE + 3, 25):
@@ -251,16 +275,14 @@ class TestComputeMomentsBatch:
             u, v = rng.integers(0, n + 1, 2 * n), rng.integers(0, n + 1, 2 * n)
             g = Graph.from_edges(n + 1, np.append(u, np.arange(n)), np.append(v, np.arange(1, n + 1)))
             instances.append((g, SeedSet.from_members([0], n + 1)))
-        got = compute_moments_batch(instances)
-        for (g, seeds), table in zip(instances, got):
-            assert table.reachable.all()
-            assert_tables_equal(table, compute_moments(g, seeds))
+        got = assert_batch_equals_alone(instances, caplog, HitmixConfig(g_candidates=(2,)))
+        assert all(result.moments.reachable.all() for result in got)
 
-    def test_breakdown_beside_healthy_instances(self, monkeypatch):
+    def test_breakdown_beside_healthy_instances(self, monkeypatch, caplog):
         # With reachability taken as "has an edge", every other instance keeps
         # a triangle that cannot reach its seed, and its moment-1 solve breaks
         # down. It gets compute_moments' NonSpdError alone, and the healthy
-        # instances in its group keep their tables' bytes.
+        # instances beside it keep their bytes.
         def has_edge(graph, seeds):
             mask = graph.degrees[seeds.complement] > 0
             mask.flags.writeable = False
@@ -276,41 +298,35 @@ class TestComputeMomentsBatch:
             if i % 2 == 0:
                 u, v, n = np.append(u, [n, n + 1, n]), np.append(v, [n + 1, n + 2, n + 2]), n + 3
             instances.append((Graph.from_edges(n, u, v), SeedSet.from_members([0], n)))
-        got = compute_moments_batch(instances)
-        for i, ((g, seeds), table) in enumerate(zip(instances, got)):
+        got = assert_batch_equals_alone(instances, caplog)
+        for i, ((g, seeds), result) in enumerate(zip(instances, got)):
             if i % 2 == 0:
-                assert type(table) is NonSpdError
-                with pytest.raises(NonSpdError, match=f"^{re.escape(str(table))}$"):
+                assert type(result) is NonSpdError
+                with pytest.raises(NonSpdError, match=f"^{re.escape(str(result))}$"):
                     compute_moments(g, seeds)
             else:
-                assert_tables_equal(table, compute_moments(g, seeds))
+                assert_tables_equal(result.moments, compute_moments(g, seeds))
 
-    def test_reads_one_group_at_a_time(self, monkeypatch):
-        # Instances of 80, 80 | 80, 80 | 80, 30 and 60 vertices in groups of at
-        # most about 160: each group is solved before the next one is read.
+    def test_reads_one_instance_at_a_time(self, monkeypatch):
+        # Each instance's moments are solved before the next one is read.
         instances = sbm_instances(3, [0.3, 0.2, 0.1, 0.05, 0.3])
         pulled, solves = [], []
         real_reachable = hitmix.moments.reachable_from
 
         def read():
-            for instance in instances:
-                pulled.append(instance)
-                yield instance
+            for i, (graph, seeds) in enumerate(instances):
+                pulled.append(i)
+                yield graph, seeds, i
 
         def spy(graph, seeds):
             solves.append(len(pulled))
             return real_reachable(graph, seeds)
 
-        monkeypatch.setattr(hitmix.moments, "_GROUP_VERTICES", 160)
         monkeypatch.setattr(hitmix.moments, "reachable_from", spy)
-        got = compute_moments_batch(read())
-        assert solves == [2, 4, 7]
-        for (g, seeds), table in zip(instances, got):
-            if isinstance(table, ValueError):
-                with pytest.raises(ValueError, match=f"^{re.escape(str(table))}$"):
-                    compute_moments(g, seeds)
-            else:
-                assert_tables_equal(table, compute_moments(g, seeds))
+        results = hitmix_batch(read(), HitmixConfig(g_candidates=(2, 3)))
+        assert pulled == []
+        next(results)
+        assert solves == list(range(1, len(instances) + 1))
 
 
 class TestSimulation:

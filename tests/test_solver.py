@@ -1,4 +1,5 @@
 import io
+import re
 from unittest import mock
 
 import numpy as np
@@ -12,7 +13,7 @@ import hitmix.solver
 import oracles
 from hitmix.graph import Graph, SeedSet, load_edge_list, reachable_from
 from hitmix.moments import compute_moments, restricted_laplacian
-from hitmix.solver import _PIECE, CgConfig, CgStats, NonSpdError, _cg, one_or_raise
+from hitmix.solver import _PIECE, CgConfig, CgStats, NonSpdError, _cg
 from oracles import barbell_graph, path3, random_connected, reference_cg
 
 
@@ -21,9 +22,9 @@ def laplacian(graph, seeds):
 
 
 def solve(h, b, cfg=None):
-    """_cg from 0 on h's CSR arrays: x and its CgStats; raises its NonSpdError."""
+    """_cg from 0 on h's CSR arrays: x and its CgStats."""
     x = np.zeros(b.size)
-    return x, one_or_raise([_cg(h.indptr, h.indices, h.data, b, x, cfg or CgConfig())])
+    return x, _cg(h.indptr, h.indices, h.data, b, x, cfg or CgConfig())
 
 
 class TestApply:
@@ -294,40 +295,25 @@ def csr_arrays(h):
     return h.indptr, h.indices, h.data
 
 
-def join_blocks(blocks, index_dtype=np.int32):
-    """The blocks' CSR arrays joined, as moments._solve_group leaves a union's
-    H: each block's rows in turn, with the entries of each row in the block's
-    order and its own column ids (0..n_j - 1). Returns, per block, its slice of
-    indptr, which points into the joined indices and data, and those two."""
-    starts = np.cumsum([0] + [blk.shape[0] for blk in blocks])
-    nnz = np.cumsum([0] + [blk.nnz for blk in blocks])
-    indptr = np.concatenate([blk.indptr[:-1] + z for blk, z in zip(blocks, nnz)] + [nnz[-1:]])
-    indptr = indptr.astype(index_dtype)
-    indices = np.concatenate([blk.indices for blk in blocks]).astype(index_dtype)
-    data = np.concatenate([blk.data for blk in blocks])
-    return [(indptr[lo:hi + 1], indices, data) for lo, hi in zip(starts, starts[1:])]
-
-
-def assert_blocks_equal_reference(blocks, rhs, cfg=None, index_dtype=np.int32):
-    """_cg from 0 on each block's slice of the joined arrays gives reference_cg's
-    x bytes and stats, or its NonSpdError message. Returns the results."""
-    results = []
-    for blk, b, arrays in zip(blocks, rhs, join_blocks(blocks, index_dtype)):
-        assert arrays[0].dtype == arrays[1].dtype == index_dtype
-        x = np.zeros(b.size)
-        got = _cg(*arrays, b, x, cfg or CgConfig())
-        results.append(got)
-        try:
-            want_x, want = reference_cg(blk, b, cfg)
-        except NonSpdError as exc:
-            assert isinstance(got, NonSpdError) and str(got) == str(exc)
-            continue
-        assert x.tobytes() == want_x.tobytes()
-        assert got.iterations == want.iterations
-        assert np.float64(got.final_rel_residual).tobytes() == \
-            np.float64(want.final_rel_residual).tobytes()
-        assert got.converged is want.converged
-    return results
+def assert_equals_reference(h, b, cfg=None, index_dtype=np.int32):
+    """_cg from 0 on h's CSR arrays, with index arrays cast to index_dtype,
+    gives reference_cg's x bytes and stats, or raises its NonSpdError message.
+    Returns the stats, or None after a breakdown."""
+    arrays = h.indptr.astype(index_dtype), h.indices.astype(index_dtype), h.data
+    x = np.zeros(b.size)
+    try:
+        want_x, want = reference_cg(h, b, cfg)
+    except NonSpdError as exc:
+        with pytest.raises(NonSpdError, match=f"^{re.escape(str(exc))}$"):
+            _cg(*arrays, b, x, cfg or CgConfig())
+        return None
+    got = _cg(*arrays, b, x, cfg or CgConfig())
+    assert x.tobytes() == want_x.tobytes()
+    assert got.iterations == want.iterations
+    assert np.float64(got.final_rel_residual).tobytes() == \
+        np.float64(want.final_rel_residual).tobytes()
+    assert got.converged is want.converged
+    return got
 
 
 def assert_moment_solves_equal_reference(graph, seeds, cfg=None):
@@ -337,7 +323,7 @@ def assert_moment_solves_equal_reference(graph, seeds, cfg=None):
     sqrt_deg = np.sqrt(graph.degrees[vertices])
     x1, _ = reference_cg(h, sqrt_deg, cfg)
     rhs2 = sqrt_deg * (1.0 + 2.0 * (x1 / sqrt_deg - 1.0))
-    return assert_blocks_equal_reference([h, h], [sqrt_deg, rhs2], cfg)
+    return [assert_equals_reference(h, b, cfg) for b in (sqrt_deg, rhs2)]
 
 
 class TestEqualsReferenceCg:
@@ -359,11 +345,10 @@ class TestEqualsReferenceCg:
         assert all(st.converged for st in stats)
         vertices = seeds.complement[reachable_from(g, seeds)]
         h = restricted_laplacian(g, vertices)
-        [st] = assert_blocks_equal_reference([h], [rng.standard_normal(vertices.size)], cfg)
-        assert st.converged
+        assert assert_equals_reference(h, rng.standard_normal(vertices.size), cfg).converged
         vertices = seeds.complement[g.degrees[seeds.complement] > 0]
         h = restricted_laplacian(g, vertices)
-        assert_blocks_equal_reference([h], [np.ones(vertices.size)], cfg)
+        assert_equals_reference(h, np.ones(vertices.size), cfg)
 
     @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
     @pytest.mark.parametrize("seed", range(3))
@@ -378,8 +363,7 @@ class TestEqualsReferenceCg:
             order = lo + rng.permutation(hi - lo)
             h.indices[lo:hi], h.data[lo:hi] = h.indices[order], h.data[order]
         h.has_sorted_indices = False
-        [st] = assert_blocks_equal_reference([h], [np.sqrt(g.degrees[3:])], None, index_dtype)
-        assert st.converged
+        assert assert_equals_reference(h, np.sqrt(g.degrees[3:]), None, index_dtype).converged
 
     @pytest.mark.parametrize("rel_tol", [1e-10, 1e-15])
     def test_path_2000_stops_at_the_floor(self, rel_tol):
@@ -398,20 +382,20 @@ class TestEqualsReferenceCg:
         monkeypatch.setattr(oracles, "reference_done", lambda *args: False)
         g = path(100)
         h = restricted_laplacian(g, np.arange(1, 100))
-        [stats] = assert_blocks_equal_reference([h], [np.sqrt(g.degrees[1:])])
+        stats = assert_equals_reference(h, np.sqrt(g.degrees[1:]))
         assert stats.iterations == 1000 and not stats.converged
 
 
 class TestBlocksEqualReferenceCg:
-    """_cg on one block of a union's CSR arrays, through an indptr slice at an
-    offset, is held to reference_cg bit for bit."""
+    """Several H per case, of many sizes and shapes, each solved by _cg on its
+    own CSR arrays and held to reference_cg bit for bit."""
 
     @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
     @pytest.mark.parametrize("rel_tol", [1e-6, 1e-10, 1e-15])
     @pytest.mark.parametrize("seed", range(6))
     def test_random_multigraph_blocks(self, seed, rel_tol, index_dtype):
-        # Reachable H of random multigraphs, with moment-1 and random rhs, beside
-        # a 1-vertex block and a zero rhs; the blocks stop at different steps.
+        # Reachable H of random multigraphs, with moment-1 and random rhs, a
+        # 1-vertex H and a zero rhs.
         rng = np.random.default_rng(seed)
         blocks, rhs = [], []
         for _ in range(int(rng.integers(2, 6))):
@@ -422,78 +406,42 @@ class TestBlocksEqualReferenceCg:
             blocks.append(restricted_laplacian(g, vertices))
             rhs.append(np.sqrt(g.degrees[vertices]) if rng.random() < 0.5
                        else rng.standard_normal(vertices.size))
-        one = restricted_laplacian(path(2), np.array([1]))
-        at = int(rng.integers(0, len(blocks) + 1))
-        first = blocks[0]
-        blocks[at:at] = [one, first]
-        rhs[at:at] = [np.ones(1), np.zeros(first.shape[0])]
-        results = assert_blocks_equal_reference(blocks, rhs, CgConfig(rel_tol), index_dtype)
+        blocks += [restricted_laplacian(path(2), np.array([1])), blocks[0]]
+        rhs += [np.ones(1), np.zeros(blocks[0].shape[0])]
+        results = [assert_equals_reference(blk, b, CgConfig(rel_tol), index_dtype)
+                   for blk, b in zip(blocks, rhs)]
         assert all(st.converged for st in results)
-        assert results[at + 1] == CgStats(0, 0.0, True)
-        assert len({st.iterations for st in results}) > 2
-
-    def test_singular_block_fails_alone(self):
-        # Every other block also holds a triangle that cannot reach the seed: it
-        # breaks down with reference_cg's message. With a Galerkin vector it
-        # gets a zero start, and the healthy blocks get the bytes of their
-        # solve on their own arrays.
-        rng = np.random.default_rng(5)
-        blocks = []
-        for i in range(6):
-            n = int(rng.integers(20, 200))
-            g = multigraph(rng, n)
-            a = g.adjacency.tocoo()
-            u, v = a.row[a.row <= a.col], a.col[a.row <= a.col]
-            if i % 2 == 0:
-                g = Graph.from_edges(n + 3, np.append(u, [n, n + 1, n]), np.append(v, [n + 1, n + 2, n + 2]))
-            seeds = SeedSet.from_members([0], g.n_vertices)
-            vertices = seeds.complement[g.degrees[seeds.complement] > 0]
-            blocks.append(restricted_laplacian(g, vertices))
-        rhs = [np.ones(blk.shape[0]) for blk in blocks]
-        results = assert_blocks_equal_reference(blocks, rhs)
-        for i, (blk, b, st, arrays) in enumerate(zip(blocks, rhs, results, join_blocks(blocks))):
-            assert isinstance(st, NonSpdError) if i % 2 == 0 else st.converged
-            x, st, x0 = galerkin_solve(arrays, b)
-            x_j, st_j, x0_j = galerkin_solve(csr_arrays(blk), b)
-            assert (x.tobytes(), x0.tobytes(), repr(st)) == (x_j.tobytes(), x0_j.tobytes(), repr(st_j))
-            assert x0_j.any() if i % 2 else not x0_j.any()
+        assert results[-1] == CgStats(0, 0.0, True)
 
     def test_iteration_budget_per_block(self, monkeypatch):
-        # With no stop test met, each block runs its own max(1000, 10 n_j).
+        # With no stop test met, each H runs its own max(1000, 10 n).
         monkeypatch.setattr(hitmix.solver, "_done", lambda *args: False)
         monkeypatch.setattr(oracles, "reference_done", lambda *args: False)
-        blocks, rhs = [], []
+        results = []
         for n in (100, 200, 150):
             g = path(n)
-            blocks.append(restricted_laplacian(g, np.arange(1, n)))
-            rhs.append(np.sqrt(g.degrees[1:]))
-        results = assert_blocks_equal_reference(blocks, rhs)
+            results.append(assert_equals_reference(restricted_laplacian(g, np.arange(1, n)),
+                                                   np.sqrt(g.degrees[1:])))
         assert [st.iterations for st in results] == [1000, 1990, 1490]
         assert not any(st.converged for st in results)
 
     def test_blocks_longer_than_a_piece(self):
-        # Blocks of _PIECE + 1 and 2 _PIECE + 3 rows at non-zero offsets, beside
-        # small ones: each keeps the bits of reference_cg and of its solve on
-        # its own arrays, x, stats and Galerkin vector.
+        # H of _PIECE + 1 and 2 _PIECE + 3 rows, beside small ones, keeps the
+        # bits of reference_cg; the Galerkin accumulators leave x as it is.
         rng = np.random.default_rng(0)
-        blocks, rhs = [], []
         for n in (40, _PIECE + 1, 7, 2 * _PIECE + 3, 25):
             # A path through n + 1 vertices, with 2 n random chords.
             u, v = rng.integers(0, n + 1, 2 * n), rng.integers(0, n + 1, 2 * n)
             g = Graph.from_edges(n + 1, np.append(u, np.arange(n)), np.append(v, np.arange(1, n + 1)))
-            blocks.append(restricted_laplacian(g, np.arange(1, n + 1)))
-            rhs.append(np.sqrt(g.degrees[1:]))
-        assert_blocks_equal_reference(blocks, rhs)
-        for blk, b, arrays in zip(blocks, rhs, join_blocks(blocks)):
-            x, st, x0 = galerkin_solve(arrays, b)
-            x_j, st_j, x0_j = galerkin_solve(csr_arrays(blk), b)
-            assert (x.tobytes(), x0.tobytes()) == (x_j.tobytes(), x0_j.tobytes())
-            assert st == st_j and st.converged and x0_j.any()
+            h, b = restricted_laplacian(g, np.arange(1, n + 1)), np.sqrt(g.degrees[1:])
+            st = assert_equals_reference(h, b)
+            x, st_g, x0 = galerkin_solve(csr_arrays(h), b)
+            assert x.tobytes() == solve(h, b)[0].tobytes()
+            assert st_g == st and st.converged and x0.any()
 
     def test_empty_block(self):
-        # A block of no rows, between two others, has nothing to solve.
-        blocks = [laplacian(*path3()), sp.csr_matrix((0, 0)), laplacian(*path3())]
-        assert _cg(*join_blocks(blocks)[1], np.empty(0), np.empty(0), CgConfig()) == \
+        # An H of no rows has nothing to solve.
+        assert _cg(*csr_arrays(sp.csr_matrix((0, 0))), np.empty(0), np.empty(0), CgConfig()) == \
             CgStats(0, 0.0, True)
 
 
@@ -544,43 +492,6 @@ class TestStartAndGalerkin:
                                       float(np.linalg.norm(b2)), CgConfig())
         stats = _cg(*csr_arrays(h), b2, x0, CgConfig())
         assert stats.converged and stats.iterations <= 1
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_blocks_equal_solves_alone(self, seed):
-        # Each block's x, stats and Galerkin vector, through its indptr slice
-        # (int32 indices at even seeds, int64 at odd), are those of its solve
-        # on its own arrays, bit for bit, beside blocks that break down or
-        # have a zero rhs; so are those of the moment-2 solves started from
-        # the Galerkin vector.
-        rng = np.random.default_rng(seed)
-        blocks = []
-        for i in range(5):
-            n = int(rng.integers(20, 200))
-            g = multigraph(rng, n)
-            a = g.adjacency.tocoo()
-            u, v = a.row[a.row <= a.col], a.col[a.row <= a.col]
-            if i == 2:   # a triangle that cannot reach the seed: a breakdown
-                g = Graph.from_edges(n + 3, np.append(u, [n, n + 1, n]), np.append(v, [n + 1, n + 2, n + 2]))
-            seeds = SeedSet.from_members([0], g.n_vertices)
-            keep = reachable_from(g, seeds) | (np.arange(g.n_vertices)[1:] >= n)
-            blocks.append((restricted_laplacian(g, seeds.complement[keep]),
-                           np.sqrt(g.degrees[seeds.complement[keep]])))
-        blocks[3] = (blocks[3][0], np.zeros(blocks[3][1].size))
-        joined = join_blocks([blk for blk, _ in blocks], (np.int32, np.int64)[seed % 2])
-        for j, ((blk, b), arrays) in enumerate(zip(blocks, joined)):
-            x, st, x0 = galerkin_solve(arrays, b)
-            x_j, st_j, x0_j = galerkin_solve(csr_arrays(blk), b)
-            assert (x.tobytes(), x0.tobytes(), repr(st)) == (x_j.tobytes(), x0_j.tobytes(), repr(st_j))
-            if j == 2:
-                assert isinstance(st, NonSpdError) and not x0.any()
-                continue
-            b2 = 2.0 * x - b
-            st2, st2_j = _cg(*arrays, b2, x0, CgConfig()), _cg(*csr_arrays(blk), b2, x0_j, CgConfig())
-            assert x0.tobytes() == x0_j.tobytes() and st2 == st2_j
-            if j == 3:
-                assert st == st2 == CgStats(0, 0.0, True) and not x0.any()
-            else:
-                assert st.converged and st2.converged and st2.iterations < st.iterations
 
     def test_unconverged_block_gets_zero_start(self, monkeypatch):
         # With no stop test met, CG runs on far past convergence, where rr
